@@ -1190,8 +1190,8 @@ fn percentile(sorted: &[std::time::Duration], p: f64) -> std::time::Duration {
 ///   arrival-rate knob: zero think time is an all-out burst, longer think
 ///   times approximate sparser Poisson-like traffic). Admission
 ///   micro-batching makes strangers' concurrent duplicates share
-///   dedup/cache/frontier work, at the price of up to one admission window
-///   of added latency.
+///   dedup/cache/frontier work: requests that arrive while a batch runs
+///   form the next one, so batches grow with load and add no wait.
 ///
 /// The table reports p50/p95/p99 request latency per arm and the server's
 /// batch/sharing counters. Every server answer is checked byte-identical
@@ -1281,12 +1281,7 @@ pub fn exp13_server_latency(cfg: &HarnessConfig, threads: usize) -> Table {
             cfg.seed
         ));
         let engine = QueryEngine::new(graph.clone());
-        let config = ServerConfig {
-            admit_max: 8,
-            admit_window: Duration::from_millis(1),
-            threads,
-            ..ServerConfig::default()
-        };
+        let config = ServerConfig { admit_max: 8, threads, ..ServerConfig::default() };
         let handle = Server::bind(engine, &socket, config).expect("exp13 server bind");
 
         // Closed-loop clients: request, wait for the answer, think, repeat.

@@ -12,12 +12,13 @@
 //!
 //! * per-connection **reader threads** parse request lines and enqueue
 //!   them — tagged `(client, request_id)` — on a shared admission queue;
-//! * a single **dispatcher thread** flushes the queue to
-//!   [`QueryEngine::run_batch_with_stats`] as soon as
-//!   [`ServerConfig::admit_max`] requests accumulate **or** the oldest
-//!   pending request has waited [`ServerConfig::admit_window`], whichever
-//!   comes first — so strangers' queries land in one batch and share
-//!   dedup/containment/envelope/frontier work;
+//! * a single **dispatcher thread** follows the group-commit rule: when
+//!   idle it takes whatever query run is queued (up to
+//!   [`ServerConfig::admit_max`]) and hands it to
+//!   [`QueryEngine::run_batch_with_stats`] at once; requests that arrive
+//!   while that batch executes form the next one. A lone request never
+//!   waits for batch-mates, while concurrent strangers' queries still
+//!   land in one batch and share dedup/containment/envelope/profile work;
 //! * answers stream back per request on the client's connection, tagged
 //!   with the request id (a client may pipeline up to
 //!   [`ServerConfig::quota`] requests; beyond that it gets tagged
@@ -52,26 +53,21 @@
 pub mod protocol;
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 use tspg_core::{BatchStats, QueryEngine, QuerySpec};
 use tspg_graph::TemporalEdge;
 
 /// Admission and fairness knobs of a [`Server`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// Flush the admission queue to the engine once this many requests are
-    /// pending (the size trigger of the micro-batch).
+    /// Most queries the dispatcher hands to the engine in one batch; a
+    /// longer queued run is split across consecutive batches.
     pub admit_max: usize,
-    /// Flush once the *oldest* pending request has waited this long (the
-    /// latency trigger). Admission adds at most this much to a request's
-    /// latency; in exchange concurrent strangers share batch work.
-    pub admit_window: Duration,
     /// Per-client cap on pipelined (sent but unanswered) requests. A
     /// request beyond the cap is answered with a tagged `error` line
     /// instead of a queue slot, so one greedy client cannot starve the
@@ -86,7 +82,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         let threads =
             std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
-        Self { admit_max: 32, admit_window: Duration::from_millis(2), quota: 1024, threads }
+        Self { admit_max: 32, quota: 1024, threads }
     }
 }
 
@@ -123,28 +119,17 @@ enum Pending {
     Ingest(PendingIngest),
 }
 
-impl Pending {
-    fn enqueued(&self) -> Instant {
-        match self {
-            Pending::Query(p) => p.enqueued,
-            Pending::Ingest(p) => p.enqueued,
-        }
-    }
-}
-
 /// One query awaiting admission.
 struct PendingQuery {
     client: Arc<ClientSlot>,
     id: u64,
     query: QuerySpec,
-    enqueued: Instant,
 }
 
 /// One edge batch awaiting application at the next batch boundary.
 struct PendingIngest {
     client: Arc<ClientSlot>,
     edges: Vec<TemporalEdge>,
-    enqueued: Instant,
 }
 
 /// Per-connection state shared between its reader thread and the
@@ -197,8 +182,6 @@ struct Counters {
     malformed: AtomicU64,
     batches: AtomicU64,
     size_flushes: AtomicU64,
-    timer_flushes: AtomicU64,
-    empty_wakeups: AtomicU64,
     clients_accepted: AtomicU64,
     clients_gone: AtomicU64,
     ingest_batches: AtomicU64,
@@ -231,8 +214,8 @@ impl Shared {
         self.shutdown.store(true, Ordering::SeqCst);
         // Notify while holding the admission lock: without it the
         // dispatcher could check the flag, then park — missing this
-        // notification — and sleep out a whole admission window before
-        // draining.
+        // notification — and, since its wait is untimed, never wake to
+        // drain and exit.
         {
             let _queue = self.admission.lock().unwrap_or_else(PoisonError::into_inner);
             self.admit_cv.notify_all();
@@ -251,7 +234,6 @@ impl Shared {
             out.push('\n');
         };
         push("admit_max", self.config.admit_max as u64);
-        push("admit_window_us", self.config.admit_window.as_micros().min(u64::MAX as u128) as u64);
         push("quota", self.config.quota as u64);
         push("threads", self.config.threads as u64);
         // relaxed: serving counters are monotone statistics; a snapshot
@@ -264,8 +246,6 @@ impl Shared {
         push("malformed", c.malformed.load(Ordering::Relaxed));
         push("batches", c.batches.load(Ordering::Relaxed));
         push("size_flushes", c.size_flushes.load(Ordering::Relaxed));
-        push("timer_flushes", c.timer_flushes.load(Ordering::Relaxed));
-        push("empty_wakeups", c.empty_wakeups.load(Ordering::Relaxed));
         push("clients_accepted", c.clients_accepted.load(Ordering::Relaxed));
         push("clients_gone", c.clients_gone.load(Ordering::Relaxed));
         push("ingest_batches", c.ingest_batches.load(Ordering::Relaxed));
@@ -343,7 +323,6 @@ impl Server {
         };
         let config = ServerConfig {
             admit_max: config.admit_max.max(1),
-            admit_window: config.admit_window.max(Duration::from_micros(50)),
             quota: config.quota.max(1),
             threads: config.threads.max(1),
         };
@@ -467,21 +446,42 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: &UnixListener) {
     }
 }
 
+/// Longest request line a reader accepts, in bytes, newline excluded —
+/// room for an `ingest` of several hundred thousand edges. A longer line
+/// is answered `error - line too long` and its connection is hung up, so no
+/// client can grow a reader's buffer without bound.
+pub const MAX_LINE_BYTES: usize = 8 << 20;
+
 /// Per-connection loop: parse request lines, enforce the quota, enqueue
 /// queries, answer control verbs inline.
 fn reader_loop(shared: &Arc<Shared>, slot: &Arc<ClientSlot>, stream: UnixStream) {
-    let reader = BufReader::new(stream);
-    // Only a real disconnect (EOF / read error) marks the slot gone. A
-    // reader that stops because its client sent the `shutdown` verb must
-    // NOT: that connection is alive and still owed its drained answers.
+    let mut reader = BufReader::new(stream);
+    // Only a real disconnect (EOF / read error / over-long line) marks the
+    // slot gone. A reader that stops because its client sent the
+    // `shutdown` verb must NOT: that connection is alive and still owed
+    // its drained answers.
     let mut disconnected = true;
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    loop {
+        let mut buf = Vec::new();
+        // One byte past the cap tells an over-long line from one that
+        // exactly fills it.
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        if !matches!((&mut reader).take(limit).read_until(b'\n', &mut buf), Ok(n) if n > 0) {
+            break;
+        }
+        // relaxed: serving counters are statistics only (see `stats_text`).
+        if buf.len() > MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
+            shared.counters.requests.fetch_add(1, Ordering::Relaxed);
+            shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
+            slot.write_line(&protocol::format_error(None, "line too long"));
+            slot.hang_up();
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else { break };
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        // relaxed: serving counters are statistics only (see `stats_text`).
         shared.counters.requests.fetch_add(1, Ordering::Relaxed);
         match protocol::parse_request(line) {
             Ok(protocol::Request::Query { id, query }) => {
@@ -494,12 +494,7 @@ fn reader_loop(shared: &Arc<Shared>, slot: &Arc<ClientSlot>, stream: UnixStream)
                     continue;
                 }
                 slot.in_flight.fetch_add(1, Ordering::AcqRel);
-                let pending = Pending::Query(PendingQuery {
-                    client: Arc::clone(slot),
-                    id,
-                    query,
-                    enqueued: Instant::now(),
-                });
+                let pending = Pending::Query(PendingQuery { client: Arc::clone(slot), id, query });
                 let mut queue = shared.admission.lock().unwrap_or_else(PoisonError::into_inner);
                 queue.push_back(pending);
                 // Notify while still holding the admission lock (see
@@ -522,11 +517,7 @@ fn reader_loop(shared: &Arc<Shared>, slot: &Arc<ClientSlot>, stream: UnixStream)
                     continue;
                 }
                 slot.in_flight.fetch_add(1, Ordering::AcqRel);
-                let pending = Pending::Ingest(PendingIngest {
-                    client: Arc::clone(slot),
-                    edges,
-                    enqueued: Instant::now(),
-                });
+                let pending = Pending::Ingest(PendingIngest { client: Arc::clone(slot), edges });
                 let mut queue = shared.admission.lock().unwrap_or_else(PoisonError::into_inner);
                 queue.push_back(pending);
                 // Notify under the admission lock; see the Query arm.
@@ -567,24 +558,18 @@ enum Collected {
     Ingests(Vec<PendingIngest>),
 }
 
-/// Dispatcher loop: wait for a flush trigger, drain a homogeneous run,
-/// run queries through the engine (read lock) or apply mutations (write
-/// lock), stream the answers back.
+/// Dispatcher loop: take the next homogeneous run, run queries through
+/// the engine (read lock) or apply mutations (write lock), stream the
+/// answers back; exits once shutdown is flagged and the queue is drained.
 fn dispatcher_loop(shared: &Arc<Shared>) {
-    loop {
-        let batch = match collect_batch(shared) {
+    while let Some(collected) = collect_batch(shared) {
+        let batch = match collected {
             Collected::Ingests(batch) => {
                 apply_ingests(shared, batch);
                 continue;
             }
             Collected::Queries(batch) => batch,
         };
-        if batch.is_empty() {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            continue;
-        }
         let queries: Vec<QuerySpec> = batch.iter().map(|p| p.query).collect();
         // Hold the read lock across the whole batch: the graph every query
         // of this batch sees is the one collect_batch's boundary admitted.
@@ -640,76 +625,45 @@ fn apply_ingests(shared: &Arc<Shared>, batch: Vec<PendingIngest>) {
     }
 }
 
-/// Blocks until a flush trigger fires, then drains one homogeneous run
-/// from the queue front: consecutive ingests are returned immediately
-/// (each mutation run is its own batch boundary), consecutive queries once
-/// the size or timer trigger fires — or at once when an ingest is queued
-/// behind them, since the mutation cannot apply until the queries ahead of
-/// it have run. May return an empty query batch — the idle timer firing
-/// with nothing pending, or a shutdown wake-up — which the dispatcher
-/// treats as a no-op.
+/// Group commit: parks while the queue is empty, then drains one
+/// homogeneous run from the queue front at once — consecutive ingests
+/// (each mutation run is its own batch boundary) or up to `admit_max`
+/// consecutive queries. Requests that arrive while the caller executes the
+/// run queue up and form the next one, so batches grow with load and a
+/// lone request never waits for batch-mates. A query run cut at
+/// `admit_max`, or by an ingest queued behind it, counts as a size flush.
 ///
-/// During shutdown the queue still drains in homogeneous runs (not one
-/// final mixed batch): queries accepted before a pending mutation must run
-/// against the pre-mutation graph.
-fn collect_batch(shared: &Arc<Shared>) -> Collected {
-    let config = &shared.config;
-    // relaxed: flush-trigger tallies are statistics only (see `stats_text`).
+/// Returns `None` only once shutdown is flagged *and* the queue is empty,
+/// so every accepted request is answered first — still in homogeneous
+/// runs, never one final mixed batch: queries accepted before a pending
+/// mutation must run against the pre-mutation graph.
+fn collect_batch(shared: &Arc<Shared>) -> Option<Collected> {
+    let admit_max = shared.config.admit_max;
     let mut queue = shared.admission.lock().unwrap_or_else(PoisonError::into_inner);
     loop {
-        let shutting_down = shared.shutdown.load(Ordering::SeqCst);
-        if matches!(queue.front(), Some(Pending::Ingest(_))) {
-            let mut batch = Vec::new();
-            while matches!(queue.front(), Some(Pending::Ingest(_))) {
-                if let Some(Pending::Ingest(ingest)) = queue.pop_front() {
-                    batch.push(ingest);
-                }
-            }
-            return Collected::Ingests(batch);
-        }
-        // The front run is all queries (possibly the whole queue).
-        let run = queue.iter().take_while(|p| matches!(p, Pending::Query(_))).count();
-        let boundary_behind = run < queue.len();
-        if shutting_down {
-            // Drain the whole front run so every accepted request is
-            // answered before the socket goes away (the loop comes back
-            // for whatever sits behind the boundary).
-            let batch = drain_queries(&mut queue, run);
-            return Collected::Queries(batch);
-        }
         match queue.front() {
-            Some(front) => {
-                let age = front.enqueued().elapsed();
-                if run >= config.admit_max || boundary_behind || age >= config.admit_window {
-                    if run >= config.admit_max || boundary_behind {
-                        // An ingest waiting behind the run counts as a size
-                        // flush: the boundary, not the timer, forced it.
-                        shared.counters.size_flushes.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        shared.counters.timer_flushes.fetch_add(1, Ordering::Relaxed);
+            Some(Pending::Ingest(_)) => {
+                let mut batch = Vec::new();
+                while matches!(queue.front(), Some(Pending::Ingest(_))) {
+                    if let Some(Pending::Ingest(ingest)) = queue.pop_front() {
+                        batch.push(ingest);
                     }
-                    let take = run.min(config.admit_max);
-                    return Collected::Queries(drain_queries(&mut queue, take));
                 }
-                let remaining = config.admit_window - age;
-                let (guard, _) = shared
-                    .admit_cv
-                    .wait_timeout(queue, remaining)
-                    .unwrap_or_else(PoisonError::into_inner);
-                queue = guard;
+                return Some(Collected::Ingests(batch));
             }
-            None => {
-                // Idle tick: the flush timer keeps firing with zero
-                // pending requests; each wake-up is a counted no-op.
-                let (guard, timeout) = shared
-                    .admit_cv
-                    .wait_timeout(queue, config.admit_window)
-                    .unwrap_or_else(PoisonError::into_inner);
-                queue = guard;
-                if timeout.timed_out() && queue.is_empty() {
-                    shared.counters.empty_wakeups.fetch_add(1, Ordering::Relaxed);
+            Some(Pending::Query(_)) => {
+                let run = queue.iter().take_while(|p| matches!(p, Pending::Query(_))).count();
+                if run >= admit_max || run < queue.len() {
+                    // relaxed: flush tallies are statistics only (see
+                    // `stats_text`).
+                    shared.counters.size_flushes.fetch_add(1, Ordering::Relaxed);
                 }
+                return Some(Collected::Queries(drain_queries(&mut queue, run.min(admit_max))));
             }
+            None if shared.shutdown.load(Ordering::SeqCst) => return None,
+            // Untimed: every enqueue and `begin_shutdown` notify under this
+            // lock, so no wakeup can slip in between the check and the park.
+            None => queue = shared.admit_cv.wait(queue).unwrap_or_else(PoisonError::into_inner),
         }
     }
 }
@@ -761,11 +715,7 @@ mod tests {
     fn bind_query_stats_shutdown_round_trip() {
         let path = temp_socket("lib_roundtrip");
         let engine = QueryEngine::new(figure1_graph());
-        let config = ServerConfig {
-            admit_max: 4,
-            admit_window: Duration::from_millis(1),
-            ..ServerConfig::default()
-        };
+        let config = ServerConfig { admit_max: 4, ..ServerConfig::default() };
         let handle = Server::bind(engine, &path, config).unwrap();
         let (s, t, w) = figure1_query();
 
@@ -833,11 +783,7 @@ mod tests {
     #[test]
     fn ingest_applies_at_a_batch_boundary_and_bumps_the_epoch() {
         let path = temp_socket("lib_ingest");
-        let config = ServerConfig {
-            admit_max: 4,
-            admit_window: Duration::from_millis(1),
-            ..ServerConfig::default()
-        };
+        let config = ServerConfig { admit_max: 4, ..ServerConfig::default() };
         let handle = Server::bind(QueryEngine::new(figure1_graph()), &path, config).unwrap();
         let (s, t, w) = figure1_query();
         let (mut reader, mut stream) = connect(&path);
@@ -872,11 +818,7 @@ mod tests {
     #[test]
     fn answers_for_one_client_arrive_in_request_order() {
         let path = temp_socket("lib_order");
-        let config = ServerConfig {
-            admit_max: 3,
-            admit_window: Duration::from_millis(1),
-            ..ServerConfig::default()
-        };
+        let config = ServerConfig { admit_max: 3, ..ServerConfig::default() };
         let handle = Server::bind(QueryEngine::new(figure1_graph()), &path, config).unwrap();
         let (s, t, _) = figure1_query();
         let (mut reader, mut stream) = connect(&path);

@@ -1,8 +1,8 @@
 //! `tspg-server` — resident serving frontend over a unix domain socket.
 //!
 //! ```text
-//! tspg-server <edge-list> --socket PATH [--admit-max N] [--admit-window-ms T]
-//!             [--quota N] [--threads N] [--cache-size N] [--no-cache]
+//! tspg-server <edge-list> --socket PATH [--admit-max N] [--quota N]
+//!             [--threads N] [--cache-size N] [--no-cache]
 //!             [--profile-cache-size N]
 //! ```
 //!
@@ -16,7 +16,6 @@
 
 use std::collections::HashMap;
 use std::process::ExitCode;
-use std::time::Duration;
 use tspg_core::{CacheConfig, ProfileCacheConfig, QueryEngine};
 use tspg_graph::io;
 use tspg_server::{Server, ServerConfig};
@@ -34,8 +33,13 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:\n  tspg-server <edge-list> --socket PATH [--admit-max N] \
-                     [--admit-window-ms T]\n              [--quota N] [--threads N] \
-                     [--cache-size N] [--no-cache] [--profile-cache-size N]";
+                     [--quota N]\n              [--threads N] [--cache-size N] [--no-cache] \
+                     [--profile-cache-size N]";
+
+/// Every flag `tspg-server` takes a value for; `--no-cache` is the one
+/// switch. Anything else is rejected rather than silently ignored.
+const VALUE_FLAGS: &[&str] =
+    &["socket", "admit-max", "quota", "threads", "cache-size", "profile-cache-size"];
 
 fn run(args: &[String]) -> Result<(), String> {
     if args.iter().any(|a| a == "--help" || a == "-h" || a == "help") {
@@ -55,10 +59,6 @@ fn run(args: &[String]) -> Result<(), String> {
         if config.admit_max == 0 {
             return Err("--admit-max must be at least 1".to_string());
         }
-    }
-    if let Some(v) = flags.get("admit-window-ms") {
-        let ms: u64 = parse_number(v, "admission window")?;
-        config.admit_window = Duration::from_millis(ms);
     }
     if let Some(v) = flags.get("quota") {
         config.quota = parse_number(v, "per-client quota")?;
@@ -105,9 +105,8 @@ fn run(args: &[String]) -> Result<(), String> {
     let handle =
         Server::bind(engine, socket, config).map_err(|e| format!("cannot bind {socket}: {e}"))?;
     eprintln!(
-        "tspg-server: listening on {socket} (admit_max={}, admit_window={:?}, quota={}, \
-         threads={})",
-        config.admit_max, config.admit_window, config.quota, config.threads
+        "tspg-server: listening on {socket} (admit_max={}, quota={}, threads={})",
+        config.admit_max, config.quota, config.threads
     );
     // Blocks until a client sends the `shutdown` verb.
     let report = handle.join();
@@ -126,7 +125,8 @@ fn run(args: &[String]) -> Result<(), String> {
 }
 
 /// Splits positional arguments from `--flag value` pairs (same convention
-/// as the `tspg` CLI).
+/// as the `tspg` CLI), rejecting any flag not in [`VALUE_FLAGS`] or
+/// `--no-cache`.
 fn parse_flags(args: &[String]) -> Result<(Vec<String>, HashMap<String, String>), String> {
     let mut positional = Vec::new();
     let mut flags = HashMap::new();
@@ -135,7 +135,10 @@ fn parse_flags(args: &[String]) -> Result<(Vec<String>, HashMap<String, String>)
         if let Some(name) = arg.strip_prefix("--") {
             let value = match name {
                 "no-cache" => "true".to_string(),
-                _ => iter.next().cloned().ok_or_else(|| format!("--{name} expects a value"))?,
+                _ if VALUE_FLAGS.contains(&name) => {
+                    iter.next().cloned().ok_or_else(|| format!("--{name} expects a value"))?
+                }
+                _ => return Err(format!("unknown flag --{name}")),
             };
             flags.insert(name.to_string(), value);
         } else {
@@ -147,4 +150,26 @@ fn parse_flags(args: &[String]) -> Result<(Vec<String>, HashMap<String, String>)
 
 fn parse_number<T: std::str::FromStr>(value: &str, what: &str) -> Result<T, String> {
     value.parse().map_err(|_| format!("invalid {what}: {value:?}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_before_the_graph_is_read() {
+        for stale in ["--admit-window-ms", "--qouta"] {
+            let err = run(&args(&["missing.txt", "--socket", "s.sock", stale, "2"])).unwrap_err();
+            assert_eq!(err, format!("unknown flag {stale}"));
+        }
+        let (positional, flags) =
+            parse_flags(&args(&["g.txt", "--quota", "4", "--no-cache", "--socket", "s"])).unwrap();
+        assert_eq!(positional, ["g.txt"]);
+        assert_eq!(flags.len(), 3);
+        assert_eq!(flags["quota"], "4");
+    }
 }

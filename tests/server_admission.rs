@@ -1,9 +1,9 @@
 //! Admission-path tests of the resident `tspg-server`: the edge cases of
-//! the micro-batching dispatcher (idle flush timer, per-client quotas,
-//! malformed lines, mid-batch disconnects) plus the differential pin —
-//! answers served over the socket must be byte-identical to the PR 2
-//! sequential engine, whether one client sends the whole workload or four
-//! concurrent strangers interleave it.
+//! the micro-batching dispatcher (idle parking, per-client quotas,
+//! malformed and over-long lines, mid-batch disconnects) plus the
+//! differential pin: answers served over the socket must be byte-identical
+//! to the sequential engine, whether one client sends the whole workload
+//! or four concurrent strangers interleave it.
 
 mod common;
 
@@ -13,7 +13,7 @@ use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 use tspg_suite::prelude::*;
-use tspg_suite::server::{protocol, Server, ServerConfig};
+use tspg_suite::server::{protocol, Server, ServerConfig, MAX_LINE_BYTES};
 
 fn temp_socket(tag: &str) -> PathBuf {
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -49,52 +49,101 @@ fn stat(stats: &str, key: &str) -> u64 {
         .unwrap()
 }
 
-/// The flush timer keeps firing while the queue is empty: each idle tick
-/// is a counted no-op, and the server still answers normally afterwards.
+/// A client that keeps the dispatcher busy for a while: one `ingest` of
+/// [`PLUG_EDGES`] scrambled edges on fresh vertices, disjoint from
+/// Fig. 1's, so served answers do not change while the dispatcher sorts
+/// and re-indexes the whole edge set. Its `pong` is written only after the
+/// reader has queued the ingest, so once [`Plug::start`] returns the
+/// dispatcher is applying it (or about to): requests sent in the next few
+/// milliseconds queue behind it and are batched together when it finishes.
+struct Plug {
+    reader: BufReader<UnixStream>,
+    _stream: UnixStream,
+}
+
+/// Edges in the plug's ingest; applying them takes tens of milliseconds
+/// even in an optimised build.
+const PLUG_EDGES: usize = 300_000;
+
+impl Plug {
+    fn start(socket: &Path) -> Plug {
+        let (mut reader, mut stream) = connect(socket);
+        let mut state = 0x9e37_79b9_u64;
+        let edges: Vec<TemporalEdge> = (0..PLUG_EDGES)
+            .map(|_| {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                let r = state >> 33;
+                TemporalEdge::new(1000 + (r % 4000) as u32, 1000 + (r / 4000 % 4000) as u32, 1)
+            })
+            .collect();
+        send(&mut stream, &protocol::format_ingest(&edges));
+        send(&mut stream, "ping");
+        assert_eq!(read_line(&mut reader), "pong");
+        Plug { reader, _stream: stream }
+    }
+
+    /// Waits for the plug's acknowledgement.
+    fn finish(mut self) {
+        let reply = protocol::parse_response(&read_line(&mut self.reader)).unwrap();
+        let want = protocol::Response::Ingested { epoch: 1, edges: PLUG_EDGES as u64 };
+        assert_eq!(reply, want);
+    }
+}
+
+/// An idle dispatcher parks on an untimed wait: it does no work while
+/// nothing is queued, answers a lone query at once in a batch of its own,
+/// and wakes for a shutdown requested while it is parked.
 #[test]
-fn idle_flush_timer_fires_with_zero_pending_requests() {
+fn idle_dispatcher_parks_until_a_request_or_shutdown() {
     let socket = temp_socket("idle");
-    let config = ServerConfig { admit_window: Duration::from_millis(1), ..ServerConfig::default() };
-    let handle = Server::bind(QueryEngine::new(figure1_graph()), &socket, config).unwrap();
+    let handle =
+        Server::bind(QueryEngine::new(figure1_graph()), &socket, ServerConfig::default()).unwrap();
 
-    // No client traffic at all; the dispatcher's timer keeps waking up.
     std::thread::sleep(Duration::from_millis(40));
-    let stats = handle.stats_text();
-    assert!(stat(&stats, "empty_wakeups") > 0, "{stats}");
-    assert_eq!(stat(&stats, "batches"), 0, "{stats}");
+    assert_eq!(stat(&handle.stats_text(), "batches"), 0);
 
-    // The idle ticks left the dispatcher healthy: a query is still served.
+    // A lone query needs no batch-mates and no timer to be answered.
     let (s, t, w) = figure1_query();
     let (mut reader, mut stream) = connect(&socket);
     send(&mut stream, &protocol::format_query(1, &QuerySpec::new(s, t, w)));
     let reply = protocol::parse_response(&read_line(&mut reader)).unwrap();
     let protocol::Response::Result(payload) = reply else { panic!("{reply:?}") };
     assert_eq!(payload.edges.len(), 4);
+    let stats = handle.stats_text();
+    assert_eq!(stat(&stats, "batches"), 1, "{stats}");
+    assert_eq!(stat(&stats, "size_flushes"), 0, "{stats}");
 
-    handle.shutdown();
-    let report = handle.join();
+    // Parked again; a lost shutdown wakeup would hang the join for good.
+    std::thread::sleep(Duration::from_millis(40));
+    let (done, joined) = std::sync::mpsc::channel();
+    let joiner = std::thread::spawn(move || {
+        handle.shutdown();
+        let _ = done.send(handle.join());
+    });
+    let report = joined
+        .recv_timeout(Duration::from_secs(5))
+        .expect("shutdown must wake the parked dispatcher");
+    joiner.join().unwrap();
     assert_eq!(report.responses, 1);
+    assert_eq!(report.batches, 1);
 }
 
-/// With `quota = 1` and an admission window far longer than the test, a
-/// second pipelined request deterministically exceeds the quota: it is
-/// answered with a tagged error line, while the admitted request is still
-/// answered on the shutdown drain.
+/// With `quota = 1` and the dispatcher held by a [`Plug`], a second
+/// pipelined request exceeds the quota: it is answered with a tagged error
+/// line, while the admitted request is still answered on the shutdown
+/// drain.
 #[test]
 fn quota_exceeded_requests_get_a_tagged_error_line() {
     let socket = temp_socket("quota");
-    let config = ServerConfig {
-        quota: 1,
-        // Longer than the test: the first request cannot be answered (and
-        // its quota slot released) before the second one is judged.
-        admit_window: Duration::from_secs(30),
-        ..ServerConfig::default()
-    };
+    let config = ServerConfig { quota: 1, ..ServerConfig::default() };
     let handle = Server::bind(QueryEngine::new(figure1_graph()), &socket, config).unwrap();
     let (s, t, w) = figure1_query();
     let q = QuerySpec::new(s, t, w);
 
     let (mut reader, mut stream) = connect(&socket);
+    // The first request cannot be answered (and its quota slot released)
+    // before the second one is judged: the plug holds the dispatcher.
+    let plug = Plug::start(&socket);
     send(&mut stream, &protocol::format_query(0, &q));
     send(&mut stream, &protocol::format_query(1, &q));
     send(&mut stream, "shutdown");
@@ -110,6 +159,7 @@ fn quota_exceeded_requests_get_a_tagged_error_line() {
     let protocol::Response::Result(payload) = reply else { panic!("{reply:?}") };
     assert_eq!(payload.id, 0);
     assert_eq!(payload.edges.len(), 4, "the admitted request is answered on the drain");
+    plug.finish();
 
     let report = handle.join();
     assert_eq!(report.quota_rejections, 1);
@@ -159,36 +209,70 @@ fn malformed_lines_are_answered_and_do_not_stop_the_server() {
     assert_eq!(report.totals.queries, 1, "malformed lines never reach the engine");
 }
 
+/// The reader caps a request line at `MAX_LINE_BYTES`: a line of exactly
+/// that length is served, one byte more is answered `line too long` and
+/// its connection is hung up, while other clients keep being served.
+#[test]
+fn over_long_lines_are_refused_and_hang_up_only_their_client() {
+    let socket = temp_socket("longline");
+    let handle =
+        Server::bind(QueryEngine::new(figure1_graph()), &socket, ServerConfig::default()).unwrap();
+    let (s, t, w) = figure1_query();
+    let q = QuerySpec::new(s, t, w);
+    let (mut reader_ok, mut stream_ok) = connect(&socket);
+    let (mut reader, mut stream) = connect(&socket);
+
+    // A `ping` padded to exactly the cap is still a request.
+    send(&mut stream, &format!("ping{}", " ".repeat(MAX_LINE_BYTES - 4)));
+    assert_eq!(read_line(&mut reader), "pong");
+
+    // One byte over: refused, and the connection is closed. The server
+    // stops reading at the cap, so the rest of the write may fail.
+    let _ = stream.write_all(format!("ping{}\n", " ".repeat(MAX_LINE_BYTES - 3)).as_bytes());
+    let reply = protocol::parse_response(&read_line(&mut reader)).unwrap();
+    assert_eq!(reply, protocol::Response::Error { id: None, message: "line too long".into() });
+    let mut rest = String::new();
+    assert!(matches!(reader.read_line(&mut rest), Ok(0) | Err(_)), "still open: {rest:?}");
+
+    // The other client is unaffected.
+    send(&mut stream_ok, &protocol::format_query(5, &q));
+    let reply = protocol::parse_response(&read_line(&mut reader_ok)).unwrap();
+    let protocol::Response::Result(payload) = reply else { panic!("{reply:?}") };
+    assert_eq!((payload.id, payload.edges.len()), (5, 4));
+
+    handle.shutdown();
+    let report = handle.join();
+    assert_eq!(report.malformed, 1);
+    assert_eq!(report.responses, 1);
+}
+
 /// A client that disconnects between admission and dispatch has its
 /// computed answers dropped; the batch, the dispatcher and every other
 /// client are unaffected.
 #[test]
 fn client_disconnect_mid_batch_drops_its_answers_without_poisoning_the_dispatcher() {
     let socket = temp_socket("disconnect");
-    let config = ServerConfig {
-        // Wide enough that the flush deterministically happens after the
-        // disconnecting client is gone.
-        admit_window: Duration::from_millis(300),
-        ..ServerConfig::default()
-    };
-    let handle = Server::bind(QueryEngine::new(figure1_graph()), &socket, config).unwrap();
+    let handle =
+        Server::bind(QueryEngine::new(figure1_graph()), &socket, ServerConfig::default()).unwrap();
     let (s, t, w) = figure1_query();
     let q = QuerySpec::new(s, t, w);
-
-    // Client A enqueues two requests and vanishes before the window closes.
     let (_reader_a, mut stream_a) = connect(&socket);
+    let (mut reader_b, mut stream_b) = connect(&socket);
+
+    // While the plug holds the dispatcher, client A enqueues two requests
+    // and vanishes; survivor client B enqueues into the same batch.
+    let plug = Plug::start(&socket);
     send(&mut stream_a, &protocol::format_query(0, &q));
     send(&mut stream_a, &protocol::format_query(1, &q));
-    // Survivor client B enqueues into the same admission batch.
-    let (mut reader_b, mut stream_b) = connect(&socket);
     send(&mut stream_b, &protocol::format_query(7, &q));
     drop(_reader_a);
     drop(stream_a);
     // Wait until the server has noticed the disconnect, so the flush that
     // follows sees A marked gone.
     while stat(&handle.stats_text(), "clients_gone") == 0 {
-        std::thread::sleep(Duration::from_millis(5));
+        std::thread::sleep(Duration::from_millis(1));
     }
+    plug.finish();
 
     // B's answer arrives; A's are computed and dropped.
     let reply = protocol::parse_response(&read_line(&mut reader_b)).unwrap();
@@ -289,11 +373,7 @@ fn server_answers_match_the_sequential_engine_across_the_client_grid() {
 
     for num_clients in [1usize, 4] {
         let socket = temp_socket(&format!("grid{num_clients}"));
-        let config = ServerConfig {
-            admit_max: 8,
-            admit_window: Duration::from_millis(1),
-            ..ServerConfig::default()
-        };
+        let config = ServerConfig { admit_max: 8, ..ServerConfig::default() };
         let handle = Server::bind(QueryEngine::new(graph.clone()), &socket, config).unwrap();
 
         // Client c pipelines queries c, c + n, c + 2n, ... tagged with
