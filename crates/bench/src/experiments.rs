@@ -1,6 +1,5 @@
 //! One function per paper artifact (table / figure), each returning
-//! plain-text [`Table`]s that the `experiments` binary prints and that
-//! `EXPERIMENTS.md` records.
+//! plain-text [`Table`]s that the `experiments` binary prints.
 
 use crate::harness::{
     format_bytes, format_duration, run_workload, Algorithm, AlgorithmOutcome, HarnessConfig, Table,
@@ -8,16 +7,12 @@ use crate::harness::{
 use std::time::Instant;
 use tspg_baselines::EpAlgorithm;
 use tspg_core::{
-    generate_tspg, quick_upper_bound_graph, tight_upper_bound_graph, BatchStats, CacheConfig,
-    PlannerConfig, QueryEngine, QuerySpec, VugResult,
+    generate_tspg, quick_upper_bound_graph, tight_upper_bound_graph, QueryEngine, QuerySpec,
+    VugResult,
 };
-use tspg_datasets::{
-    generate_edge_stream, generate_fanout_workload, generate_overlapping_workload,
-    generate_repeated_workload, generate_transit, EdgeStreamConfig, FanoutWorkloadConfig,
-    GraphGenerator, OverlappingWorkloadConfig, RepeatedWorkloadConfig,
-};
+use tspg_datasets::generate_transit;
 use tspg_enum::{count_paths, naive_tspg};
-use tspg_graph::{GraphStats, TemporalGraph, TimeInterval};
+use tspg_graph::{GraphStats, TimeInterval};
 
 /// Table I analogue: statistics of the generated datasets at the configured
 /// scale, next to the full-size statistics of the real datasets they mirror.
@@ -412,7 +407,7 @@ pub fn exp9_batch_throughput(cfg: &HarnessConfig, threads: usize) -> Table {
         let one_shot_time = started.elapsed();
 
         // The cache is disabled so that the second and third runs measure
-        // the raw execution paths, not cache hits (Exp-10 measures those).
+        // the raw execution paths, not cache hits.
         let engine = QueryEngine::new(prepared.graph.clone()).without_cache();
         let started = Instant::now();
         let batch_seq = engine.run_batch(queries, 1);
@@ -443,921 +438,6 @@ pub fn exp9_batch_throughput(cfg: &HarnessConfig, threads: usize) -> Table {
             qps(seq_time),
             qps(par_time),
             identical.to_string(),
-        ]);
-    }
-    table
-}
-
-/// Exp-10 (beyond the paper): serving throughput under skewed, repeated
-/// traffic — the workload shape the planner and the result cache exist for.
-///
-/// For every selected dataset a Zipf-skewed repeated-query workload
-/// (exact repeats plus narrowed-window refinements of a small catalog of
-/// hot queries) is answered two ways:
-///
-/// * **PR 2 sequential** — the engine's raw per-query path, no planning,
-///   no cache: one pipeline execution per query, in order.
-/// * **planned + cached** — `run_batch_with_stats` through an engine with
-///   an LRU result cache, fed the workload in batches so later batches hit
-///   results cached by earlier ones.
-///
-/// The table reports wall-clock and the plan counters (full pipeline runs,
-/// dedup, window-shared answers, cache hits with hit rate) plus an
-/// `identical` column cross-checking that every planned/cached answer is
-/// byte-identical to the sequential one.
-///
-/// # Panics
-///
-/// Panics if any planned/cached answer differs from the sequential one, or
-/// if planning + caching fails to answer the batch with fewer full
-/// pipeline executions than queries — both are acceptance criteria, and CI
-/// runs this experiment on every push.
-pub fn exp10_serving(cfg: &HarnessConfig, threads: usize, cache_entries: usize) -> Table {
-    let threads = threads.max(1);
-    let mut table = Table::new(
-        format!(
-            "Exp-10 — serving throughput on skewed repeated traffic \
-             ({threads} threads, cache {cache_entries} entries)"
-        ),
-        &[
-            "dataset",
-            "queries",
-            "distinct",
-            "PR2 seq",
-            "planned+cached",
-            "speedup",
-            "full runs",
-            "dedup",
-            "shared",
-            "cache hits",
-            "hit rate",
-            "identical",
-        ],
-    );
-    for spec in cfg.selected_specs() {
-        let prepared = cfg.prepare(&spec);
-        // A serving trace: 8x repetition over a catalog of hot queries.
-        let workload_cfg = RepeatedWorkloadConfig::new(
-            cfg.queries_per_dataset * 8,
-            cfg.queries_per_dataset.max(1),
-            spec.default_theta,
-        );
-        let queries = match generate_repeated_workload(&prepared.graph, &workload_cfg, cfg.seed) {
-            Ok(queries) => queries,
-            Err(e) => {
-                eprintln!("exp10: skipping {} — workload generation failed: {e}", spec.id);
-                continue;
-            }
-        };
-
-        // PR 2 sequential baseline: raw pipeline per query, no plan/cache.
-        let baseline_engine = QueryEngine::new(prepared.graph.clone()).without_cache();
-        let mut scratch = tspg_core::QueryScratch::new();
-        let started = Instant::now();
-        let baseline: Vec<VugResult> =
-            queries.iter().map(|&q| baseline_engine.run(q, &mut scratch)).collect();
-        let baseline_time = started.elapsed();
-
-        // Planned + cached serving loop: the workload arrives in batches,
-        // so later batches can hit results cached by earlier ones.
-        let engine = QueryEngine::new(prepared.graph.clone())
-            .with_cache(CacheConfig::with_max_entries(cache_entries.max(1)));
-        let mut stats = BatchStats::default();
-        let mut answers: Vec<VugResult> = Vec::with_capacity(queries.len());
-        let batch_size = queries.len().div_ceil(4).max(1);
-        let started = Instant::now();
-        for batch in queries.chunks(batch_size) {
-            let (results, batch_stats) = engine.run_batch_with_stats(batch, threads);
-            stats.merge(&batch_stats);
-            answers.extend(results);
-        }
-        let served_time = started.elapsed();
-
-        let identical = baseline.iter().zip(answers.iter()).all(|(a, b)| a.tspg == b.tspg);
-        assert!(identical, "{}: planned/cached answers diverged from PR 2 sequential", spec.id);
-        assert!(
-            stats.pipeline_runs() < queries.len(),
-            "{}: {} full pipeline runs for {} queries — planning saved nothing",
-            spec.id,
-            stats.pipeline_runs(),
-            queries.len()
-        );
-        let cache = engine.cache_stats().expect("exp10 engine always has a cache");
-        let speedup = if served_time.as_secs_f64() > 0.0 {
-            format!("{:.1}x", baseline_time.as_secs_f64() / served_time.as_secs_f64())
-        } else {
-            "-".to_string()
-        };
-        table.push_row(vec![
-            prepared.id.clone(),
-            queries.len().to_string(),
-            workload_cfg.distinct.to_string(),
-            format_duration(baseline_time),
-            format_duration(served_time),
-            speedup,
-            stats.pipeline_runs().to_string(),
-            stats.dedup_answered.to_string(),
-            // Containment and envelope sharing both count here: queries
-            // answered from some covering tspG rather than the full graph.
-            (stats.shared_answered + stats.envelope_answered).to_string(),
-            stats.cache_hits.to_string(),
-            format!("{:.1}%", 100.0 * cache.hit_rate()),
-            identical.to_string(),
-        ]);
-    }
-    table
-}
-
-/// Exp-11 (beyond the paper): envelope sharing on overlapping-window
-/// traffic — sliding same-`(s, t)` windows that overlap without nesting,
-/// the shape containment-only planning cannot collapse.
-///
-/// The registry's synthetic datasets are deliberately *dense* miniatures
-/// (tens of vertices, thousands of edges — `Scale::density_boost`
-/// concentrates the per-window branching factor of the full-size graphs),
-/// which is the wrong regime for cross-window sharing: on them every
-/// window's tspG covers most of the graph, so re-running the pipeline on a
-/// covering tspG costs nearly as much as on the graph itself. Envelope
-/// units pay off in the *serving* regime — large sparse graphs with long
-/// timestamp domains, where a query window touches a sliver of the edge
-/// set and its tspG is a handful of edges. Like the Exp-8 case study, this
-/// experiment therefore generates its own graphs: a uniform and a
-/// hub-skewed serving graph, sized off the configured scale (`min_edges`
-/// edges, average degree ~6, window span ~8% of the timestamp domain).
-///
-/// The workload (chains of third-span-stride sliding windows; see
-/// `tspg_datasets::OverlappingWorkloadConfig`) is answered three ways, all
-/// with the result cache off so the planner's own saving is what gets
-/// measured:
-///
-/// * **PR 2 sequential** — the raw per-query path: one full-graph pipeline
-///   execution per query.
-/// * **containment-only** — `run_batch_with_stats` with envelope synthesis
-///   disabled (the PR 3 planner): overlapping windows never nest, so this
-///   plans one full-graph unit per distinct window.
-/// * **envelope** — the default planner: each overlap chain collapses into
-///   synthesized envelope units (cost guard `k = 2`, four windows per
-///   envelope) whose full-graph runs answer every member from their tspGs,
-///   with the members individually stealable across the worker threads.
-///
-/// The table reports wall-clock for the three arms, the envelope arm's
-/// plan counters, and an `identical` column cross-checking that all three
-/// produce byte-identical answers in batch order.
-///
-/// # Panics
-///
-/// Panics if any envelope or containment-only answer differs from the
-/// sequential path, or if envelope planning fails to answer the batch with
-/// fewer full-graph pipeline runs than containment-only planning — CI runs
-/// this experiment on every push and greps the identity column.
-pub fn exp11_envelopes(cfg: &HarnessConfig, threads: usize) -> Table {
-    let threads = threads.max(1);
-    let mut table = Table::new(
-        format!("Exp-11 — envelope sharing on overlapping windows ({threads} threads, cache off)"),
-        &[
-            "graph",
-            "|V|",
-            "|E|",
-            "queries",
-            "chains",
-            "PR2 seq",
-            "containment",
-            "envelope",
-            "env vs containment",
-            "full runs",
-            "env units",
-            "env answered",
-            "identical",
-        ],
-    );
-    // Serving-graph shape, scaled by the harness's edge budget.
-    let edges = cfg.scale.min_edges.max(300);
-    let vertices = (edges / 6).max(24);
-    let timestamps = (edges / 20).max(30);
-    let theta = (timestamps as i64 / 12).max(2);
-    let shapes = [
-        ("uniform", GraphGenerator::uniform(vertices, edges, timestamps)),
-        ("hub", GraphGenerator::hub(vertices, edges, timestamps, 1.2)),
-    ];
-    for (name, generator) in shapes {
-        let graph = generator.generate(cfg.seed ^ 0x11);
-        // Chains of 6 sliding windows per catalog entry; a third-span
-        // stride keeps consecutive windows overlapping (never nesting) and
-        // lets the default cost guard (k = 2) absorb four windows per
-        // envelope.
-        let chains = cfg.queries_per_dataset.max(1);
-        let workload_cfg = OverlappingWorkloadConfig {
-            stride: (theta / 3).max(1),
-            ..OverlappingWorkloadConfig::new(chains * 6, chains, theta)
-        };
-        let queries = match generate_overlapping_workload(&graph, &workload_cfg, cfg.seed) {
-            Ok(queries) => queries,
-            Err(e) => {
-                eprintln!("exp11: skipping {name} graph — workload generation failed: {e}");
-                continue;
-            }
-        };
-
-        // PR 2 sequential baseline: raw pipeline per query.
-        let baseline_engine = QueryEngine::new(graph.clone()).without_cache();
-        let mut scratch = tspg_core::QueryScratch::new();
-        let started = Instant::now();
-        let baseline: Vec<VugResult> =
-            queries.iter().map(|&q| baseline_engine.run(q, &mut scratch)).collect();
-        let baseline_time = started.elapsed();
-
-        // Containment-only planning (PR 3): no envelope synthesis.
-        let containment_engine = QueryEngine::new(graph.clone())
-            .without_cache()
-            .with_planner(PlannerConfig::containment_only());
-        let started = Instant::now();
-        let (containment, containment_stats) =
-            containment_engine.run_batch_with_stats(&queries, threads);
-        let containment_time = started.elapsed();
-
-        // Envelope planning (this PR): overlap chains collapse.
-        let envelope_engine = QueryEngine::new(graph.clone()).without_cache();
-        let started = Instant::now();
-        let (envelope, stats) = envelope_engine.run_batch_with_stats(&queries, threads);
-        let envelope_time = started.elapsed();
-
-        let identical = baseline
-            .iter()
-            .zip(containment.iter())
-            .zip(envelope.iter())
-            .all(|((a, b), c)| a.tspg == b.tspg && a.tspg == c.tspg);
-        assert!(identical, "{name}: envelope/containment answers diverged from sequential");
-        assert!(
-            stats.pipeline_runs() < containment_stats.pipeline_runs(),
-            "{name}: envelope planning ran {} full pipelines vs containment-only's {} — \
-             envelopes saved nothing",
-            stats.pipeline_runs(),
-            containment_stats.pipeline_runs()
-        );
-        let speedup = if envelope_time.as_secs_f64() > 0.0 {
-            format!("{:.1}x", containment_time.as_secs_f64() / envelope_time.as_secs_f64())
-        } else {
-            "-".to_string()
-        };
-        table.push_row(vec![
-            name.to_string(),
-            graph.num_vertices().to_string(),
-            graph.num_edges().to_string(),
-            queries.len().to_string(),
-            chains.to_string(),
-            format_duration(baseline_time),
-            format_duration(containment_time),
-            format_duration(envelope_time),
-            speedup,
-            stats.pipeline_runs().to_string(),
-            stats.envelope_units.to_string(),
-            stats.envelope_answered.to_string(),
-            identical.to_string(),
-        ]);
-    }
-    table
-}
-
-/// Exp-12 (beyond the paper): same-source frontier sharing on fan-out
-/// traffic — bursts of queries expanding one hot source against many
-/// targets over one window, the shape *none* of the earlier sharing axes
-/// can collapse (different targets never dedup, contain, or envelope).
-///
-/// Like Exp-11 this runs in the serving regime (its own uniform and
-/// hub-skewed sparse graphs; the registry's dense miniatures are the wrong
-/// shape) and measures three arms, result cache off so the planner's own
-/// saving is what gets measured:
-///
-/// * **PR 2 sequential** — one full pipeline per query: per query a
-///   forward BFS, a backward BFS and an `O(m)` edge scan over the full
-///   graph.
-/// * **envelope-only** — the default planner with profile sharing
-///   disabled: fan-out bursts plan one unit per target, so this arm runs
-///   the same full-graph passes as the sequential one (plus cross-window
-///   sharing where windows happen to nest).
-/// * **frontier-shared** — the default planner: each burst's units share
-///   one target-agnostic forward pass over the burst's hull window (an
-///   [`tspg_core::ArrivalProfile`] since PR 8), and every member answers
-///   from a candidate subgraph scanned off the clamped frontier instead of
-///   re-filtering all `m` edges.
-///
-/// The table reports wall-clock for the three arms, the frontier arm's
-/// group counters, and an `identical` column cross-checking that all three
-/// arms produce byte-identical answers in batch order.
-///
-/// # Panics
-///
-/// Panics if any answer diverges between the arms, or if the frontier arm
-/// failed to form any frontier group on a fan-out workload — CI runs this
-/// experiment on every push and greps the identity column.
-pub fn exp12_frontier_sharing(cfg: &HarnessConfig, threads: usize) -> Table {
-    let threads = threads.max(1);
-    let mut table = Table::new(
-        format!("Exp-12 — same-source frontier sharing on fan-out bursts ({threads} threads, cache off)"),
-        &[
-            "graph",
-            "|V|",
-            "|E|",
-            "queries",
-            "bursts",
-            "PR2 seq",
-            "envelope-only",
-            "frontier",
-            "frontier vs envelope-only",
-            "groups",
-            "frontier answered",
-            "identical",
-        ],
-    );
-    // Serving-graph shape, scaled by the harness's edge budget. Narrow
-    // windows over a long timestamp domain keep each query's neighbourhood
-    // a sliver of the edge set — the regime where skipping the full-graph
-    // scan pays.
-    let edges = cfg.scale.min_edges.max(300);
-    let vertices = (edges / 6).max(24);
-    let timestamps = (edges / 10).max(40);
-    let theta = (timestamps as i64 / 16).max(2);
-    let shapes = [
-        ("uniform", GraphGenerator::uniform(vertices, edges, timestamps)),
-        ("hub", GraphGenerator::hub(vertices, edges, timestamps, 1.2)),
-    ];
-    for (name, generator) in shapes {
-        let graph = generator.generate(cfg.seed ^ 0x12);
-        // Bursts of ~8 same-source queries; round-robin emission means the
-        // batch interleaves bursts the way concurrent clients would.
-        let bursts = cfg.queries_per_dataset.max(1);
-        let workload_cfg = FanoutWorkloadConfig::new(bursts * 8, bursts, theta);
-        let queries = match generate_fanout_workload(&graph, &workload_cfg, cfg.seed) {
-            Ok(queries) => queries,
-            Err(e) => {
-                eprintln!("exp12: skipping {name} graph — workload generation failed: {e}");
-                continue;
-            }
-        };
-
-        // PR 2 sequential baseline: raw pipeline per query.
-        let baseline_engine = QueryEngine::new(graph.clone()).without_cache();
-        let mut scratch = tspg_core::QueryScratch::new();
-        let started = Instant::now();
-        let baseline: Vec<VugResult> =
-            queries.iter().map(|&q| baseline_engine.run(q, &mut scratch)).collect();
-        let baseline_time = started.elapsed();
-
-        // Envelope-only planning (PR 4): no frontier groups.
-        let envelope_engine = QueryEngine::new(graph.clone())
-            .without_cache()
-            .with_planner(PlannerConfig::default().without_profile_sharing());
-        let started = Instant::now();
-        let (envelope, envelope_stats) = envelope_engine.run_batch_with_stats(&queries, threads);
-        let envelope_time = started.elapsed();
-
-        // Frontier-shared planning (this PR).
-        let frontier_engine = QueryEngine::new(graph.clone()).without_cache();
-        let started = Instant::now();
-        let (frontier, stats) = frontier_engine.run_batch_with_stats(&queries, threads);
-        let frontier_time = started.elapsed();
-
-        let identical = baseline
-            .iter()
-            .zip(envelope.iter())
-            .zip(frontier.iter())
-            .all(|((a, b), c)| a.tspg == b.tspg && a.tspg == c.tspg);
-        assert!(identical, "{name}: frontier/envelope answers diverged from sequential");
-        assert!(
-            stats.profile_groups >= 1,
-            "{name}: a fan-out workload must form profile groups: {stats:?}"
-        );
-        assert_eq!(
-            stats.pipeline_runs(),
-            envelope_stats.pipeline_runs(),
-            "{name}: frontier sharing cuts inside runs, never changes how many there are"
-        );
-        let speedup = if frontier_time.as_secs_f64() > 0.0 {
-            format!("{:.1}x", envelope_time.as_secs_f64() / frontier_time.as_secs_f64())
-        } else {
-            "-".to_string()
-        };
-        table.push_row(vec![
-            name.to_string(),
-            graph.num_vertices().to_string(),
-            graph.num_edges().to_string(),
-            queries.len().to_string(),
-            bursts.to_string(),
-            format_duration(baseline_time),
-            format_duration(envelope_time),
-            format_duration(frontier_time),
-            speedup,
-            stats.profile_groups.to_string(),
-            stats.profile_answered.to_string(),
-            identical.to_string(),
-        ]);
-    }
-    table
-}
-
-/// Exp-14 (beyond the paper): per-source arrival profiles on *mixed-begin*
-/// fan-out traffic — bursts expanding one hot source against many targets
-/// whose window begins are jittered, the shape PR 5's begin-anchored
-/// frontier sharing cannot collapse (a frontier is only reusable at the
-/// exact begin it was computed for; a profile clamps to any begin inside
-/// its hull).
-///
-/// Runs in the serving regime (same graph shapes as Exp-12), result cache
-/// off so the planner's own saving is what gets measured, four arms:
-///
-/// * **PR 2 sequential** — one full pipeline per query.
-/// * **no-sharing** — the default planner with profile sharing disabled.
-///   On mixed-begin bursts this is also what PR 5's frontier grouping
-///   degenerates to (no two members share a begin), so the column doubles
-///   as the PR 5 baseline.
-/// * **profile (cold)** — the default planner: each burst's units share
-///   one [`tspg_core::ArrivalProfile`] over the hull window, clamped per
-///   member begin; the profile cache starts empty so every group pays one
-///   profile computation.
-/// * **profile (warm)** — the same batch replayed on the same engine: the
-///   profiles are resident in the engine's profile cache, so groups skip
-///   even the one forward pass.
-///
-/// The table reports wall-clock for the four arms, a cold-vs-no-sharing
-/// speedup, the profile group counters, the warm pass's cache hits, and an
-/// `identical` column cross-checking that all four arms produce
-/// byte-identical answers in batch order.
-///
-/// # Panics
-///
-/// Panics if any answer diverges between the arms, if the profile arm
-/// failed to form any group on a mixed-begin fan-out workload, or if the
-/// warm pass reports zero profile-cache hits — CI runs this experiment on
-/// every push and greps the identity column.
-pub fn exp14_profile_sharing(cfg: &HarnessConfig, threads: usize) -> Table {
-    let threads = threads.max(1);
-    let mut table = Table::new(
-        format!("Exp-14 — arrival profiles on mixed-begin fan-outs ({threads} threads, cache off)"),
-        &[
-            "graph",
-            "|V|",
-            "|E|",
-            "queries",
-            "bursts",
-            "PR2 seq",
-            "no-sharing",
-            "profile cold",
-            "profile warm",
-            "cold vs no-sharing",
-            "groups",
-            "profile answered",
-            "warm cache hits",
-            "identical",
-        ],
-    );
-    // Same serving-graph shape as Exp-12; the jitter spreads each burst's
-    // begins over half a window width, so the hull stays within the
-    // planner's span-factor guard while no two members need share a begin.
-    let edges = cfg.scale.min_edges.max(300);
-    let vertices = (edges / 6).max(24);
-    let timestamps = (edges / 10).max(40);
-    let theta = (timestamps as i64 / 16).max(2);
-    let jitter = (theta / 2).max(1);
-    let shapes = [
-        ("uniform", GraphGenerator::uniform(vertices, edges, timestamps)),
-        ("hub", GraphGenerator::hub(vertices, edges, timestamps, 1.2)),
-    ];
-    for (name, generator) in shapes {
-        let graph = generator.generate(cfg.seed ^ 0x14);
-        let bursts = cfg.queries_per_dataset.max(1);
-        let workload_cfg =
-            FanoutWorkloadConfig::new(bursts * 8, bursts, theta).with_begin_jitter(jitter);
-        let queries = match generate_fanout_workload(&graph, &workload_cfg, cfg.seed) {
-            Ok(queries) => queries,
-            Err(e) => {
-                eprintln!("exp14: skipping {name} graph — workload generation failed: {e}");
-                continue;
-            }
-        };
-
-        // PR 2 sequential baseline: raw pipeline per query.
-        let baseline_engine = QueryEngine::new(graph.clone()).without_cache();
-        let mut scratch = tspg_core::QueryScratch::new();
-        let started = Instant::now();
-        let baseline: Vec<VugResult> =
-            queries.iter().map(|&q| baseline_engine.run(q, &mut scratch)).collect();
-        let baseline_time = started.elapsed();
-
-        // No profile sharing: the PR 5 regime on mixed begins.
-        let nosharing_engine = QueryEngine::new(graph.clone())
-            .without_cache()
-            .with_planner(PlannerConfig::default().without_profile_sharing());
-        let started = Instant::now();
-        let (nosharing, nosharing_stats) = nosharing_engine.run_batch_with_stats(&queries, threads);
-        let nosharing_time = started.elapsed();
-
-        // Profile-shared planning (this PR), cold then warm on one engine.
-        let profile_engine = QueryEngine::new(graph.clone()).without_cache();
-        let started = Instant::now();
-        let (cold, stats) = profile_engine.run_batch_with_stats(&queries, threads);
-        let cold_time = started.elapsed();
-        let started = Instant::now();
-        let (warm, warm_stats) = profile_engine.run_batch_with_stats(&queries, threads);
-        let warm_time = started.elapsed();
-        let cache = profile_engine
-            .profile_cache_stats()
-            .expect("exp14 runs with the default profile cache enabled");
-
-        let identical = baseline
-            .iter()
-            .zip(nosharing.iter())
-            .zip(cold.iter())
-            .zip(warm.iter())
-            .all(|(((a, b), c), d)| a.tspg == b.tspg && a.tspg == c.tspg && a.tspg == d.tspg);
-        assert!(identical, "{name}: profile/no-sharing answers diverged from sequential");
-        assert!(
-            stats.profile_groups >= 1,
-            "{name}: a mixed-begin fan-out workload must form profile groups: {stats:?}"
-        );
-        assert_eq!(
-            nosharing_stats.profile_groups, 0,
-            "{name}: the no-sharing arm must plan zero profile groups"
-        );
-        assert_eq!(
-            stats.pipeline_runs(),
-            nosharing_stats.pipeline_runs(),
-            "{name}: profile sharing cuts inside runs, never changes how many there are"
-        );
-        assert!(
-            warm_stats.profile_groups >= 1 && cache.hits > 0,
-            "{name}: a warm replay must serve its groups from the profile cache: \
-             {warm_stats:?} {cache:?}"
-        );
-        let speedup = if cold_time.as_secs_f64() > 0.0 {
-            format!("{:.1}x", nosharing_time.as_secs_f64() / cold_time.as_secs_f64())
-        } else {
-            "-".to_string()
-        };
-        table.push_row(vec![
-            name.to_string(),
-            graph.num_vertices().to_string(),
-            graph.num_edges().to_string(),
-            queries.len().to_string(),
-            bursts.to_string(),
-            format_duration(baseline_time),
-            format_duration(nosharing_time),
-            format_duration(cold_time),
-            format_duration(warm_time),
-            speedup,
-            stats.profile_groups.to_string(),
-            stats.profile_answered.to_string(),
-            cache.hits.to_string(),
-            identical.to_string(),
-        ]);
-    }
-    table
-}
-
-/// Exp-15 (beyond the paper): warm-cache serving under a live edge feed.
-///
-/// The serving experiments above all hold the graph fixed; a live
-/// deployment does not. This experiment drives the epoch-versioned
-/// invalidation machinery end to end: a fan-out serving workload runs warm
-/// on a caching engine while a streamed edge feed
-/// ([`tspg_datasets::generate_edge_stream`]) lands batch after batch via
-/// [`QueryEngine::ingest`]. Every ingestion bumps the graph epoch and
-/// flushes the result cache, so the next pass re-answers every query
-/// against the mutated graph; a replay of the same pass then shows the hit
-/// rate recovering from the flush.
-///
-/// The no-stale proof obligation is checked inline at every epoch: each
-/// served answer is compared byte-for-byte against a cache-less engine
-/// built from scratch over the current edge set. The `identical` column
-/// records that cross-check (and the post-ingest vs replay agreement) for
-/// CI to grep.
-///
-/// # Panics
-///
-/// Panics if a served answer diverges from the fresh-engine answer at any
-/// epoch (a stale read), if an ingestion fails to advance the epoch by
-/// exactly one, or if a replay reports no new result-cache hits (the hit
-/// rate never recovered) — CI runs this experiment on every push and greps
-/// the identity column.
-pub fn exp15_live_ingestion(cfg: &HarnessConfig, threads: usize) -> Table {
-    let threads = threads.max(1);
-    let mut table = Table::new(
-        format!("Exp-15 — warm-cache serving under a live edge feed ({threads} threads)"),
-        &[
-            "graph",
-            "|V|",
-            "|E| start",
-            "|E| end",
-            "queries",
-            "epochs",
-            "ingested",
-            "cold",
-            "post-ingest",
-            "replay",
-            "recovered hits",
-            "identical",
-        ],
-    );
-    // Same serving-graph shapes as Exp-12/Exp-14.
-    let edges = cfg.scale.min_edges.max(300);
-    let vertices = (edges / 6).max(24);
-    let timestamps = (edges / 10).max(40);
-    let theta = (timestamps as i64 / 16).max(2);
-    let shapes = [
-        ("uniform", GraphGenerator::uniform(vertices, edges, timestamps)),
-        ("hub", GraphGenerator::hub(vertices, edges, timestamps, 1.2)),
-    ];
-    for (name, generator) in shapes {
-        let graph = generator.generate(cfg.seed ^ 0x15);
-        let bursts = cfg.queries_per_dataset.max(1);
-        let workload_cfg = FanoutWorkloadConfig::new(bursts * 4, bursts, theta);
-        let queries = match generate_fanout_workload(&graph, &workload_cfg, cfg.seed) {
-            Ok(queries) => queries,
-            Err(e) => {
-                eprintln!("exp15: skipping {name} graph — workload generation failed: {e}");
-                continue;
-            }
-        };
-        // The feed lands inside the graph's existing time domain, so the
-        // new edges intersect live query windows and actually change
-        // answers rather than appending dead weight past every window.
-        let t_min = graph.edges().iter().map(|e| e.time).min().unwrap_or(0);
-        let t_max = graph.edges().iter().map(|e| e.time).max().unwrap_or(0);
-        let epochs = 3usize;
-        let per_batch = (edges / 40).max(8);
-        let step = ((t_max - t_min) / (epochs as i64 + 1)).max(1);
-        let stream_cfg = EdgeStreamConfig::new(epochs, per_batch, t_min).with_time_step(step);
-        let stream = match generate_edge_stream(&graph, &stream_cfg, cfg.seed ^ 0x51) {
-            Ok(stream) => stream,
-            Err(e) => {
-                eprintln!("exp15: skipping {name} graph — edge stream generation failed: {e}");
-                continue;
-            }
-        };
-
-        // One live engine for the whole feed, default caches on.
-        let mut engine = QueryEngine::new(graph.clone());
-        let started = Instant::now();
-        let _ = engine.run_batch_with_stats(&queries, threads);
-        let cold_time = started.elapsed();
-
-        let mut union = graph.edges().to_vec();
-        let mut post_total = std::time::Duration::ZERO;
-        let mut replay_total = std::time::Duration::ZERO;
-        let mut recovered = 0u64;
-        let mut ingested = 0usize;
-        let mut final_edges = graph.num_edges();
-        let mut identical = true;
-        let mut scratch = tspg_core::QueryScratch::new();
-        for (i, batch) in stream.iter().enumerate() {
-            let before = engine.epoch();
-            let epoch = engine.ingest(batch);
-            assert_eq!(epoch, before.next(), "{name}: epoch {i}: ingestion must advance by one");
-            ingested += batch.len();
-            union.extend_from_slice(batch);
-            let cache =
-                || engine.cache_stats().expect("exp15 runs with the default result cache enabled");
-            let hits_before = cache().hits;
-
-            let started = Instant::now();
-            let (post, _) = engine.run_batch_with_stats(&queries, threads);
-            post_total += started.elapsed();
-
-            // The no-stale obligation: a fresh cache-less engine over the
-            // current edge set must agree byte-for-byte on every query.
-            let fresh =
-                QueryEngine::new(TemporalGraph::from_edges(graph.num_vertices(), union.clone()))
-                    .without_cache();
-            let fresh_ok = queries
-                .iter()
-                .zip(post.iter())
-                .all(|(&q, served)| fresh.run(q, &mut scratch).tspg == served.tspg);
-            assert!(fresh_ok, "{name}: epoch {i}: a served answer went stale after ingestion");
-            final_edges = fresh.graph().num_edges();
-
-            let started = Instant::now();
-            let (replay, _) = engine.run_batch_with_stats(&queries, threads);
-            replay_total += started.elapsed();
-            let replay_ok = replay.iter().zip(post.iter()).all(|(a, b)| a.tspg == b.tspg);
-            assert!(replay_ok, "{name}: epoch {i}: warm replay diverged from the post-ingest run");
-            identical &= fresh_ok && replay_ok;
-
-            let hits_after = cache().hits;
-            assert!(
-                hits_after > hits_before,
-                "{name}: epoch {i}: the hit rate must recover after the epoch flush"
-            );
-            recovered += hits_after - hits_before;
-        }
-        table.push_row(vec![
-            name.to_string(),
-            graph.num_vertices().to_string(),
-            graph.num_edges().to_string(),
-            final_edges.to_string(),
-            queries.len().to_string(),
-            epochs.to_string(),
-            ingested.to_string(),
-            format_duration(cold_time),
-            format_duration(post_total),
-            format_duration(replay_total),
-            recovered.to_string(),
-            identical.to_string(),
-        ]);
-    }
-    table
-}
-
-/// Sorted-latency percentile (nearest-rank on the closed interval).
-fn percentile(sorted: &[std::time::Duration], p: f64) -> std::time::Duration {
-    if sorted.is_empty() {
-        return std::time::Duration::ZERO;
-    }
-    let rank = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
-/// Exp-13 (beyond the paper): closed-loop serving latency through the
-/// resident `tspg-server` vs the one-shot path, at several arrival rates.
-///
-/// A skewed repeated workload (the Exp-10 shape) over a serving graph is
-/// answered two ways:
-///
-/// * **one-shot** — the cost of answering each query in a fresh process:
-///   one raw pipeline execution per query on an engine with no cache and
-///   no batching (per-query latency measured around each run);
-/// * **server** — the same queries pushed through a resident
-///   [`tspg_server::Server`] over its unix socket by several concurrent
-///   closed-loop clients, each pacing requests with a think time (the
-///   arrival-rate knob: zero think time is an all-out burst, longer think
-///   times approximate sparser Poisson-like traffic). Admission
-///   micro-batching makes strangers' concurrent duplicates share
-///   dedup/cache/frontier work: requests that arrive while a batch runs
-///   form the next one, so batches grow with load and add no wait.
-///
-/// The table reports p50/p95/p99 request latency per arm and the server's
-/// batch/sharing counters. Every server answer is checked byte-identical
-/// against a sequential reference engine before any row is emitted.
-///
-/// # Panics
-///
-/// Panics if any server answer differs from the sequential reference, if a
-/// client sees a protocol error, or if the server fails to micro-batch an
-/// all-out burst (fewer batches than requests) — CI runs this experiment
-/// on every push and greps the identity column.
-pub fn exp13_server_latency(cfg: &HarnessConfig, threads: usize) -> Table {
-    use std::io::{BufRead, BufReader, Write};
-    use std::os::unix::net::UnixStream;
-    use std::time::Duration;
-    use tspg_server::{protocol, Server, ServerConfig};
-
-    let threads = threads.max(1);
-    let mut table = Table::new(
-        format!("Exp-13 — closed-loop serving latency through tspg-server ({threads} threads)"),
-        &[
-            "arm",
-            "clients",
-            "think",
-            "queries",
-            "p50",
-            "p95",
-            "p99",
-            "batches",
-            "cache hits",
-            "dedup",
-            "identical",
-        ],
-    );
-
-    // Serving-graph shape, scaled by the harness's edge budget (Exp-11's
-    // regime: sparse graph, long timestamp domain, sliver-sized windows).
-    let edges = cfg.scale.min_edges.max(300);
-    let vertices = (edges / 6).max(24);
-    let timestamps = (edges / 20).max(30);
-    let theta = (timestamps as i64 / 12).max(2);
-    let graph = GraphGenerator::uniform(vertices, edges, timestamps).generate(cfg.seed ^ 0x13);
-    let workload_cfg = RepeatedWorkloadConfig::new(
-        (cfg.queries_per_dataset * 4).max(8),
-        cfg.queries_per_dataset.max(1),
-        theta,
-    );
-    let queries = generate_repeated_workload(&graph, &workload_cfg, cfg.seed)
-        .expect("exp13 workload generation");
-
-    // Sequential reference: the ground truth every arm is compared against.
-    let reference_engine = QueryEngine::new(graph.clone()).without_cache();
-    let mut scratch = tspg_core::QueryScratch::new();
-    let mut reference: Vec<VugResult> = Vec::with_capacity(queries.len());
-    let mut one_shot: Vec<Duration> = Vec::with_capacity(queries.len());
-    for &q in &queries {
-        let started = Instant::now();
-        let result = reference_engine.run(q, &mut scratch);
-        one_shot.push(started.elapsed());
-        reference.push(result);
-    }
-    one_shot.sort_unstable();
-    table.push_row(vec![
-        "one-shot".to_string(),
-        "1".to_string(),
-        "-".to_string(),
-        queries.len().to_string(),
-        format_duration(percentile(&one_shot, 50.0)),
-        format_duration(percentile(&one_shot, 95.0)),
-        format_duration(percentile(&one_shot, 99.0)),
-        "-".to_string(),
-        "-".to_string(),
-        "-".to_string(),
-        "true".to_string(),
-    ]);
-
-    // Server arms: one per arrival rate (client think time).
-    let clients = 4usize.min(queries.len().max(1));
-    for (label, think) in [
-        ("0", Duration::ZERO),
-        ("500us", Duration::from_micros(500)),
-        ("2ms", Duration::from_millis(2)),
-    ] {
-        let socket = std::env::temp_dir().join(format!(
-            "tspg_exp13_{}_{label}_{:x}.sock",
-            std::process::id(),
-            cfg.seed
-        ));
-        let engine = QueryEngine::new(graph.clone());
-        let config = ServerConfig { admit_max: 8, threads, ..ServerConfig::default() };
-        let handle = Server::bind(engine, &socket, config).expect("exp13 server bind");
-
-        // Closed-loop clients: request, wait for the answer, think, repeat.
-        // Client c owns queries c, c + clients, c + 2*clients, ...
-        let mut latencies: Vec<Duration> = Vec::with_capacity(queries.len());
-        std::thread::scope(|scope| {
-            let mut workers = Vec::new();
-            for c in 0..clients {
-                let socket = socket.clone();
-                let queries = &queries;
-                let reference = &reference;
-                workers.push(scope.spawn(move || {
-                    let stream = UnixStream::connect(&socket).expect("exp13 client connect");
-                    let mut reader =
-                        BufReader::new(stream.try_clone().expect("exp13 client clone"));
-                    let mut writer = stream;
-                    let mut latencies = Vec::new();
-                    for i in (c..queries.len()).step_by(clients) {
-                        let line = protocol::format_query(i as u64, &queries[i]);
-                        let started = Instant::now();
-                        writer
-                            .write_all(line.as_bytes())
-                            .and_then(|()| writer.write_all(b"\n"))
-                            .and_then(|()| writer.flush())
-                            .expect("exp13 client write");
-                        let mut reply = String::new();
-                        reader.read_line(&mut reply).expect("exp13 client read");
-                        latencies.push(started.elapsed());
-                        let response =
-                            protocol::parse_response(reply.trim_end()).expect("exp13 client parse");
-                        let protocol::Response::Result(payload) = response else {
-                            panic!("exp13: unexpected reply {response:?}");
-                        };
-                        assert_eq!(payload.id, i as u64, "closed loop: replies match requests");
-                        assert_eq!(
-                            payload.edges,
-                            reference[i].tspg.edges(),
-                            "exp13: server answer for query {i} diverged from sequential"
-                        );
-                        if !think.is_zero() {
-                            std::thread::sleep(think);
-                        }
-                    }
-                    latencies
-                }));
-            }
-            for worker in workers {
-                latencies.extend(worker.join().expect("exp13 client thread"));
-            }
-        });
-
-        handle.shutdown();
-        let report = handle.join();
-        assert_eq!(report.responses, queries.len() as u64);
-        // At sparse arrival rates a batch may legitimately hold a single
-        // request, so only the all-out burst pins the micro-batching win.
-        assert!(
-            !think.is_zero() || report.batches < queries.len() as u64 || queries.len() <= 1,
-            "exp13: {} batches for {} burst requests — admission never micro-batched",
-            report.batches,
-            queries.len()
-        );
-        latencies.sort_unstable();
-        table.push_row(vec![
-            "server".to_string(),
-            clients.to_string(),
-            label.to_string(),
-            queries.len().to_string(),
-            format_duration(percentile(&latencies, 50.0)),
-            format_duration(percentile(&latencies, 95.0)),
-            format_duration(percentile(&latencies, 99.0)),
-            report.batches.to_string(),
-            report.totals.cache_hits.to_string(),
-            report.totals.dedup_answered.to_string(),
-            // Asserted per request above; recorded for the CI grep.
-            "true".to_string(),
         ]);
     }
     table
@@ -1474,53 +554,6 @@ mod tests {
     fn exp9_reports_identical_results_across_execution_modes() {
         let t = exp9_batch_throughput(&smoke_cfg(), 2);
         assert_eq!(t.num_rows(), 1);
-        let text = t.render();
-        assert!(text.contains("true"), "{text}");
-        assert!(!text.contains("false"), "{text}");
-    }
-
-    #[test]
-    fn exp10_saves_pipeline_executions_and_stays_identical() {
-        let t = exp10_serving(&smoke_cfg(), 2, 256);
-        assert_eq!(t.num_rows(), 1);
-        let text = t.render();
-        assert!(text.contains("true"), "{text}");
-        assert!(!text.contains("false"), "{text}");
-    }
-
-    #[test]
-    fn exp11_envelope_sharing_beats_containment_and_stays_identical() {
-        // Exp-11 generates its own serving graphs (one uniform, one
-        // hub-skewed row) rather than using the dataset registry.
-        let t = exp11_envelopes(&smoke_cfg(), 2);
-        assert_eq!(t.num_rows(), 2);
-        let text = t.render();
-        assert!(text.contains("true"), "{text}");
-        assert!(!text.contains("false"), "{text}");
-    }
-
-    #[test]
-    fn exp12_frontier_sharing_forms_groups_and_stays_identical() {
-        let t = exp12_frontier_sharing(&smoke_cfg(), 2);
-        assert_eq!(t.num_rows(), 2);
-        let text = t.render();
-        assert!(text.contains("true"), "{text}");
-        assert!(!text.contains("false"), "{text}");
-    }
-
-    #[test]
-    fn exp14_profile_sharing_forms_groups_and_stays_identical() {
-        let t = exp14_profile_sharing(&smoke_cfg(), 2);
-        assert_eq!(t.num_rows(), 2);
-        let text = t.render();
-        assert!(text.contains("true"), "{text}");
-        assert!(!text.contains("false"), "{text}");
-    }
-
-    #[test]
-    fn exp15_live_ingestion_recovers_hits_and_never_serves_stale() {
-        let t = exp15_live_ingestion(&smoke_cfg(), 2);
-        assert_eq!(t.num_rows(), 2);
         let text = t.render();
         assert!(text.contains("true"), "{text}");
         assert!(!text.contains("false"), "{text}");

@@ -345,21 +345,6 @@ impl Table {
         self.rows.len()
     }
 
-    /// The table title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
-    /// The column headers.
-    pub fn header(&self) -> &[String] {
-        &self.header
-    }
-
-    /// The data rows, each as wide as the header.
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
-    }
-
     /// Renders the table with aligned columns.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
@@ -484,7 +469,6 @@ mod tests {
         assert!(text.contains("hello"));
         assert_eq!(t.num_rows(), 2);
         assert_eq!(t.render_tsv().lines().count(), 3);
-        assert_eq!(t.title(), "demo");
     }
 
     #[test]

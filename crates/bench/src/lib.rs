@@ -9,7 +9,8 @@
 //!   `experiments` binary and by the Criterion benchmarks under `benches/`;
 //! * the **`experiments` binary**, which prints one plain-text table per
 //!   paper artifact (Fig. 5 → `exp1`, Fig. 6 → `exp2`, …, Table II →
-//!   `table2`) so that `EXPERIMENTS.md` can be regenerated from scratch.
+//!   `table2`); the README's "Reproducing the paper's evaluation" section
+//!   lists them.
 //!
 //! Run `cargo run -p tspg-bench --release --bin experiments -- --help` for
 //! the command-line interface.
@@ -19,7 +20,6 @@
 
 pub mod experiments;
 pub mod harness;
-pub mod json;
 
 pub use harness::{
     Algorithm, AlgorithmOutcome, HarnessConfig, PreparedDataset, QueryOutcome, Table,

@@ -642,30 +642,6 @@ impl QueryEngine {
         )
     }
 
-    /// Answers one query out of the caller's scratch arena, reusing a
-    /// shared [`SourceFrontier`] for the forward half of phase 1.
-    ///
-    /// Like [`QueryEngine::run`] this is a raw execution primitive (no
-    /// planner, no cache); the executor calls it for units the planner
-    /// grouped into frontier groups. The tspG is byte-identical to
-    /// [`QueryEngine::run`]'s — only the `quick_edges` / `tight_edges`
-    /// report counters may differ, because they describe the bounds the
-    /// pipeline computed on the frontier's candidate subgraph rather than
-    /// on the full graph (see `generate_tspg_frontier_scratch`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frontier` does not cover the query (different source, a
-    /// different window begin, or an end beyond the frontier's hull).
-    pub fn run_with_frontier(
-        &self,
-        query: QuerySpec,
-        frontier: &SourceFrontier,
-        scratch: &mut QueryScratch,
-    ) -> VugResult {
-        generate_tspg_frontier_scratch(&self.graph, query, frontier, &self.config, scratch)
-    }
-
     /// Answers one query out of the caller's scratch arena, clamping a
     /// shared [`ArrivalProfile`] to the query's window for the forward half
     /// of phase 1.
@@ -675,9 +651,11 @@ impl QueryEngine {
     /// planner grouped into profile groups. The clamp materializes exactly
     /// the [`SourceFrontier`] a fresh forward pass at this query's window
     /// would compute (any begin inside the profiled hull, not just a shared
-    /// one), so the tspG is byte-identical to [`QueryEngine::run`]'s under
-    /// the same caveat as [`QueryEngine::run_with_frontier`]: only the
-    /// bound-size report counters may differ.
+    /// one), so the tspG is byte-identical to [`QueryEngine::run`]'s. Only
+    /// the `quick_edges` / `tight_edges` report counters may differ, because
+    /// they describe the bounds the pipeline computed on the clamped
+    /// frontier's candidate subgraph rather than on the full graph (see
+    /// `generate_tspg_frontier_scratch`).
     ///
     /// # Panics
     ///
@@ -1116,12 +1094,19 @@ mod tests {
             let begin = rng.random_range(1..4);
             let hull = TimeInterval::new(begin, begin + 9);
             let frontier = SourceFrontier::compute(&g, s, hull);
-            // Many targets and same-begin sub-windows off one frontier.
+            // Many targets and same-begin sub-windows off one hull frontier,
+            // which covers more than each member's window.
             for _ in 0..5 {
                 let t = rng.random_range(0..n);
                 let window = TimeInterval::new(begin, rng.random_range(begin..=hull.end()));
                 let q = QuerySpec::new(s, t, window);
-                let shared = engine.run_with_frontier(q, &frontier, &mut scratch);
+                let shared = generate_tspg_frontier_scratch(
+                    engine.graph(),
+                    q,
+                    &frontier,
+                    &engine.config,
+                    &mut scratch,
+                );
                 let direct = engine.run(q, &mut scratch);
                 assert_eq!(shared.tspg, direct.tspg, "case {case} query {q}");
                 assert_eq!(shared.report.result_vertices, direct.report.result_vertices);

@@ -32,8 +32,8 @@ pub use generators::{generate_transit, GeneratorModel, GraphGenerator};
 pub use reach::{earliest_arrival, is_reachable, latest_departure};
 pub use registry::{find, registry, DatasetSpec, Scale};
 pub use workload::{
-    format_queries, generate_edge_stream, generate_fanout_workload, generate_overlapping_workload,
-    generate_repeated_workload, generate_workload, generate_workload_batches, parse_queries,
-    EdgeStreamConfig, FanoutWorkloadConfig, OverlappingWorkloadConfig, Query,
-    RepeatedWorkloadConfig, WorkloadConfig, WorkloadError, WorkloadGenerator,
+    format_queries, generate_edge_stream, generate_fanout_workload, generate_repeated_workload,
+    generate_workload, generate_workload_batches, parse_queries, EdgeStreamConfig,
+    FanoutWorkloadConfig, Query, RepeatedWorkloadConfig, WorkloadConfig, WorkloadError,
+    WorkloadGenerator,
 };

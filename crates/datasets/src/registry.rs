@@ -1,10 +1,10 @@
 //! The dataset registry: laptop-scale analogues of the paper's Table I.
 //!
 //! Each [`DatasetSpec`] records the full-size statistics of the corresponding
-//! real dataset (for documentation and for EXPERIMENTS.md) together with a
-//! generator model whose *shape* mimics it. A [`Scale`] divides the sizes
-//! down to something that runs on a laptop; the default experiment scale is
-//! [`Scale::small`].
+//! real dataset (for documentation and for the Table I analogue the
+//! `experiments` binary prints) together with a generator model whose
+//! *shape* mimics it. A [`Scale`] divides the sizes down to something that
+//! runs on a laptop; the default experiment scale is [`Scale::small`].
 
 use crate::generators::{GeneratorModel, GraphGenerator};
 use tspg_graph::TemporalGraph;

@@ -10,12 +10,11 @@
 //! derived seed per batch), [`generate_repeated_workload`] (Zipf-skewed
 //! serving traffic with exact repeats and narrowed-window refinements, the
 //! workload shape the engine's result cache and window sharing exploit),
-//! [`generate_overlapping_workload`] (sliding-window chains whose members
-//! overlap without nesting — the shape the planner's envelope units
-//! collapse) and a textual query-file format shared with the CLI `batch`
-//! subcommand: one `source target begin end` quadruple per line, `#`/`%`
-//! comments (whole-line or trailing) and CRLF endings accepted — see
-//! [`parse_queries`] / [`format_queries`].
+//! [`generate_fanout_workload`] (same-source bursts, the shape the
+//! planner's profile groups collapse) and a textual query-file format
+//! shared with the CLI `batch` subcommand: one `source target begin end`
+//! quadruple per line, `#`/`%` comments (whole-line or trailing) and CRLF
+//! endings accepted — see [`parse_queries`] / [`format_queries`].
 //!
 //! All generators validate their configuration and graph up front and
 //! return a [`WorkloadError`] instead of panicking deep inside the RNG.
@@ -39,7 +38,7 @@ pub use tspg_graph::Query;
 pub enum WorkloadError {
     /// The requested query span θ is not positive.
     InvalidTheta(i64),
-    /// The catalog size (`distinct` / `chains`) is zero.
+    /// The catalog size (`distinct` / `sources`) is zero.
     InvalidCatalog,
     /// A probability parameter is outside `[0, 1]`.
     InvalidProbability {
@@ -47,14 +46,6 @@ pub enum WorkloadError {
         name: &'static str,
         /// The rejected value.
         value: f64,
-    },
-    /// The window stride does not keep consecutive chain windows
-    /// overlapping (`1 ≤ stride < θ` required).
-    InvalidStride {
-        /// The rejected stride.
-        stride: i64,
-        /// The configured span θ.
-        theta: i64,
     },
     /// The graph has no edges; no window can be anchored.
     EmptyGraph,
@@ -78,11 +69,6 @@ impl fmt::Display for WorkloadError {
             Self::InvalidProbability { name, value } => {
                 write!(f, "{name} must be a probability in [0, 1], got {value}")
             }
-            Self::InvalidStride { stride, theta } => write!(
-                f,
-                "stride {stride} does not keep consecutive windows of span {theta} overlapping \
-                 (need 1 <= stride < theta)"
-            ),
             Self::EmptyGraph => write!(f, "the graph has no edges to anchor query windows on"),
             Self::NoReachableTargets { requested, attempts } => write!(
                 f,
@@ -270,72 +256,6 @@ pub fn generate_repeated_workload(
         } else {
             queries.push(q);
         }
-    }
-    Ok(queries)
-}
-
-/// Parameters of an overlapping-window workload: chains of same-`(s, t)`
-/// queries whose windows slide by less than their span, so consecutive
-/// windows overlap without nesting.
-///
-/// This is the serving-traffic shape the planner's *envelope units* exist
-/// for: a client polling the same endpoint pair over a moving time window
-/// (dashboards, incident timelines) issues exactly such chains, and none
-/// of the windows contains another — containment-only sharing runs every
-/// one of them through the full-graph pipeline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OverlappingWorkloadConfig {
-    /// Total number of queries to emit (round-robin across the chains, so
-    /// consecutive batch entries belong to different chains).
-    pub num_queries: usize,
-    /// Number of distinct `(s, t)` chains (reachability-checked bases).
-    pub chains: usize,
-    /// Span θ of every window; must be ≥ 2 so a valid stride exists.
-    pub theta: i64,
-    /// Forward shift between consecutive windows of a chain; `1 ≤ stride <
-    /// theta` keeps neighbors overlapping without nesting.
-    pub stride: i64,
-}
-
-impl OverlappingWorkloadConfig {
-    /// A workload of `num_queries` over `chains` chains with span `theta`
-    /// and the default half-span stride (consecutive windows share half
-    /// their timestamps).
-    pub fn new(num_queries: usize, chains: usize, theta: i64) -> Self {
-        Self { num_queries, chains, theta, stride: (theta / 2).max(1) }
-    }
-}
-
-/// Generates an overlapping-window workload (see
-/// [`OverlappingWorkloadConfig`]), deterministic in `seed`.
-///
-/// Chain `c`'s `j`-th emitted query keeps the chain's `(s, t)` pair and
-/// slides the base window forward by `j × stride`; queries are emitted
-/// round-robin across chains. Only each chain's *base* window is
-/// reachability-checked — slid windows may legitimately have empty answers
-/// (that is what a dashboard polling past the last event sees).
-pub fn generate_overlapping_workload(
-    graph: &TemporalGraph,
-    config: &OverlappingWorkloadConfig,
-    seed: u64,
-) -> Result<Vec<Query>, WorkloadError> {
-    if config.chains == 0 {
-        return Err(WorkloadError::InvalidCatalog);
-    }
-    if config.theta < 1 {
-        return Err(WorkloadError::InvalidTheta(config.theta));
-    }
-    if config.stride < 1 || config.stride >= config.theta {
-        return Err(WorkloadError::InvalidStride { stride: config.stride, theta: config.theta });
-    }
-    let bases = generate_workload(graph, config.chains, config.theta, seed)?;
-    let mut queries = Vec::with_capacity(config.num_queries);
-    for i in 0..config.num_queries {
-        let base = &bases[i % bases.len()];
-        let slide = config.stride.saturating_mul((i / bases.len()) as i64);
-        let begin = base.window.begin().saturating_add(slide);
-        let window = TimeInterval::new(begin, begin.saturating_add(config.theta - 1));
-        queries.push(Query::new(base.source, base.target, window));
     }
     Ok(queries)
 }
@@ -806,61 +726,6 @@ mod tests {
         let cfg = RepeatedWorkloadConfig::new(10, 4, 5);
         assert_eq!(
             generate_repeated_workload(&TemporalGraph::empty(4), &cfg, 0),
-            Err(WorkloadError::EmptyGraph)
-        );
-    }
-
-    #[test]
-    fn overlapping_workload_slides_windows_without_nesting() {
-        let g = GraphGenerator::uniform(60, 800, 30).generate(2);
-        let cfg = OverlappingWorkloadConfig::new(24, 4, 8);
-        assert_eq!(cfg.stride, 4);
-        let a = generate_overlapping_workload(&g, &cfg, 5).unwrap();
-        assert_eq!(a, generate_overlapping_workload(&g, &cfg, 5).unwrap());
-        assert_eq!(a.len(), 24);
-        let bases = generate_workload(&g, cfg.chains, cfg.theta, 5).unwrap();
-        for (i, q) in a.iter().enumerate() {
-            let base = &bases[i % bases.len()];
-            assert_eq!((q.source, q.target), (base.source, base.target));
-            assert_eq!(q.theta(), cfg.theta);
-            let slide = cfg.stride * (i / bases.len()) as i64;
-            assert_eq!(q.window.begin(), base.window.begin() + slide);
-            if i >= bases.len() {
-                // Consecutive windows of a chain overlap but never nest.
-                let prev = &a[i - bases.len()];
-                assert!(prev.window.overlaps(&q.window), "#{i}: {prev} vs {q}");
-                assert!(!prev.window.contains_interval(&q.window), "#{i}");
-                assert!(!q.window.contains_interval(&prev.window), "#{i}");
-            }
-        }
-    }
-
-    #[test]
-    fn overlapping_workload_validates_its_config() {
-        let g = figure1_graph();
-        let bad_chains =
-            OverlappingWorkloadConfig { chains: 0, ..OverlappingWorkloadConfig::new(8, 2, 6) };
-        assert_eq!(
-            generate_overlapping_workload(&g, &bad_chains, 0),
-            Err(WorkloadError::InvalidCatalog)
-        );
-        let bad_stride =
-            OverlappingWorkloadConfig { stride: 6, ..OverlappingWorkloadConfig::new(8, 2, 6) };
-        assert_eq!(
-            generate_overlapping_workload(&g, &bad_stride, 0),
-            Err(WorkloadError::InvalidStride { stride: 6, theta: 6 })
-        );
-        let bad_theta = OverlappingWorkloadConfig::new(8, 2, 1);
-        assert!(matches!(
-            generate_overlapping_workload(&g, &bad_theta, 0),
-            Err(WorkloadError::InvalidStride { .. })
-        ));
-        assert_eq!(
-            generate_overlapping_workload(
-                &TemporalGraph::empty(3),
-                &OverlappingWorkloadConfig::new(8, 2, 6),
-                0
-            ),
             Err(WorkloadError::EmptyGraph)
         );
     }

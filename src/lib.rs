@@ -46,11 +46,10 @@ pub mod prelude {
         VugResult,
     };
     pub use tspg_datasets::{
-        format_queries, generate_edge_stream, generate_fanout_workload,
-        generate_overlapping_workload, generate_repeated_workload, generate_workload,
-        generate_workload_batches, parse_queries, registry, DatasetSpec, EdgeStreamConfig,
-        FanoutWorkloadConfig, GraphGenerator, OverlappingWorkloadConfig, Query,
-        RepeatedWorkloadConfig, Scale, WorkloadError,
+        format_queries, generate_edge_stream, generate_fanout_workload, generate_repeated_workload,
+        generate_workload, generate_workload_batches, parse_queries, registry, DatasetSpec,
+        EdgeStreamConfig, FanoutWorkloadConfig, GraphGenerator, Query, RepeatedWorkloadConfig,
+        Scale, WorkloadError,
     };
     pub use tspg_enum::{count_paths, enumerate_paths, naive_tspg, Budget};
     pub use tspg_graph::fixtures::{figure1_graph, figure1_query};

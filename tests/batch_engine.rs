@@ -240,7 +240,8 @@ proptest! {
 /// an overlap chain `[0,5], [3,8], [6,12]` plus mixed nested / overlapping
 /// / disjoint groups, answered with envelope planning across thread counts
 /// that force follower stealing, must equal the sequential path exactly —
-/// and the chain must actually be collapsed by the planner.
+/// and the chain must actually be collapsed by the planner, into fewer
+/// pipeline runs than containment-only planning needs.
 #[test]
 fn envelope_overlap_chains_and_mixed_groups_match_sequential() {
     let spec = registry().into_iter().next().expect("registry has datasets");
@@ -271,17 +272,27 @@ fn envelope_overlap_chains_and_mixed_groups_match_sequential() {
         QuerySpec::new(s, s, w(0, 5)),
     ];
 
+    let threads = [1, 2, 8];
     let stats = assert_batch_matches_sequential(
         &graph,
         &queries,
-        &[EngineSetup::new("default", PlannerConfig::default()).at_threads(&[1, 2, 8])],
+        &[
+            EngineSetup::new("default", PlannerConfig::default()).at_threads(&threads),
+            EngineSetup::new("containment", PlannerConfig::containment_only()).at_threads(&threads),
+        ],
     );
-    for stats in &stats {
+    let (enveloped, containment) = stats.split_at(threads.len());
+    for (stats, containment) in enveloped.iter().zip(containment) {
         assert!(stats.envelope_units >= 1, "the chain must be enveloped: {stats:?}");
         assert_eq!(stats.envelope_answered, 3, "{stats:?}");
         assert_eq!(stats.shared_answered, 1, "{stats:?}");
         assert_eq!(stats.dedup_answered, 1, "{stats:?}");
         assert_eq!(stats.degenerate, 1, "{stats:?}");
+        assert!(
+            stats.pipeline_runs() < containment.pipeline_runs(),
+            "envelopes must run fewer pipelines than containment-only: \
+             {stats:?} vs {containment:?}"
+        );
     }
 }
 
