@@ -10,9 +10,7 @@
 //!               [--fanout-sources S] [--end-spread E] [--begin-jitter J]
 //!               [--output FILE]
 //! tspg batch <edge-list> <query-file> [--threads N] [--cache-size N]
-//!            [--no-cache] [--envelope-factor K] [--no-envelopes]
-//!            [--envelope-density-cutoff R] [--no-profile-sharing]
-//!            [--profile-density-cutoff R] [--profile-cache-size N] [--quiet]
+//!            [--no-cache] [--quiet]
 //! tspg client <query-file> --socket PATH [--ingest FILE] [--stats] [--shutdown]
 //!            [--quiet]
 //! ```
@@ -20,7 +18,7 @@
 //! The edge-list format is one `src dst timestamp` triple per line (`#` and
 //! `%` start comments), the same format used by SNAP/KONECT dumps. Query
 //! files hold one `source target begin end` quadruple per line with the
-//! same comment rules.
+//! same comment rules. Each subcommand rejects flags it does not take.
 
 #![forbid(unsafe_code)]
 
@@ -30,9 +28,7 @@ use std::os::unix::net::UnixStream;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use tspg_baselines::{run_ep, EpAlgorithm};
-use tspg_core::{
-    generate_tspg, CacheConfig, PlannerConfig, ProfileCacheConfig, QueryEngine, QuerySpec,
-};
+use tspg_core::{generate_tspg, CacheConfig, QueryEngine, QuerySpec};
 use tspg_datasets::{find, format_queries, generate_workload, parse_queries, Scale};
 use tspg_enum::{enumerate_paths, Budget};
 use tspg_graph::{io, GraphStats, TemporalEdge, TemporalGraph, TimeInterval, VertexId};
@@ -82,25 +78,52 @@ fn usage() -> String {
        tspg workload <edge-list> --queries N --theta T [--seed N]\n\
                   [--fanout-sources S] [--end-spread E] [--begin-jitter J] [--output FILE]\n\
        tspg batch <edge-list> <query-file> [--threads N] [--cache-size N]\n\
-                  [--no-cache] [--envelope-factor K] [--no-envelopes]\n\
-                  [--envelope-density-cutoff R] [--no-profile-sharing]\n\
-                  [--profile-density-cutoff R] [--profile-cache-size N] [--quiet]\n\
+                  [--no-cache] [--quiet]\n\
        tspg client <query-file> --socket PATH [--ingest FILE] [--stats] [--shutdown]\n\
                   [--quiet]\n"
         .to_string()
 }
 
-/// Splits positional arguments from `--flag value` pairs.
-fn parse_flags(args: &[String]) -> Result<(Vec<String>, HashMap<String, String>), String> {
+/// The flags one subcommand accepts: `switches` take no value, `values`
+/// take one.
+struct Accepted {
+    switches: &'static [&'static str],
+    values: &'static [&'static str],
+}
+
+const STATS_FLAGS: Accepted = Accepted { switches: &[], values: &[] };
+const GENERATE_FLAGS: Accepted =
+    Accepted { switches: &[], values: &["dataset", "scale", "seed", "output"] };
+const QUERY_FLAGS: Accepted =
+    Accepted { switches: &["dot"], values: &["source", "target", "begin", "end", "algorithm"] };
+const PATHS_FLAGS: Accepted =
+    Accepted { switches: &[], values: &["source", "target", "begin", "end", "limit"] };
+const WORKLOAD_FLAGS: Accepted = Accepted {
+    switches: &[],
+    values: &["queries", "theta", "seed", "fanout-sources", "end-spread", "begin-jitter", "output"],
+};
+const BATCH_FLAGS: Accepted =
+    Accepted { switches: &["no-cache", "quiet"], values: &["threads", "cache-size"] };
+const CLIENT_FLAGS: Accepted =
+    Accepted { switches: &["stats", "shutdown", "quiet"], values: &["socket", "ingest"] };
+
+/// Splits positional arguments from `--flag value` pairs, rejecting any
+/// flag the subcommand does not accept rather than silently ignoring it.
+fn parse_flags(
+    args: &[String],
+    accepted: &Accepted,
+) -> Result<(Vec<String>, HashMap<String, String>), String> {
     let mut positional = Vec::new();
     let mut flags = HashMap::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         if let Some(name) = arg.strip_prefix("--") {
-            let value = match name {
-                "dot" | "quiet" | "no-cache" | "no-envelopes" | "no-profile-sharing" | "stats"
-                | "shutdown" => "true".to_string(),
-                _ => iter.next().cloned().ok_or_else(|| format!("--{name} expects a value"))?,
+            let value = if accepted.switches.contains(&name) {
+                "true".to_string()
+            } else if accepted.values.contains(&name) {
+                iter.next().cloned().ok_or_else(|| format!("--{name} expects a value"))?
+            } else {
+                return Err(format!("unknown flag --{name}"));
             };
             flags.insert(name.to_string(), value);
         } else {
@@ -135,7 +158,7 @@ fn parse_query(
 }
 
 fn cmd_stats(args: &[String]) -> Result<String, String> {
-    let (positional, _) = parse_flags(args)?;
+    let (positional, _) = parse_flags(args, &STATS_FLAGS)?;
     let path = positional.first().ok_or("stats requires an edge-list path")?;
     let graph = load_graph(path)?;
     let stats = GraphStats::compute(&graph);
@@ -143,7 +166,7 @@ fn cmd_stats(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<String, String> {
-    let (_, flags) = parse_flags(args)?;
+    let (_, flags) = parse_flags(args, &GENERATE_FLAGS)?;
     let dataset = required(&flags, "dataset")?;
     let spec = find(dataset).ok_or_else(|| format!("unknown dataset {dataset:?} (D1..D10)"))?;
     let scale = match flags.get("scale").map(String::as_str).unwrap_or("small") {
@@ -173,7 +196,7 @@ fn cmd_generate(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_query(args: &[String]) -> Result<String, String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_flags(args, &QUERY_FLAGS)?;
     let path = positional.first().ok_or("query requires an edge-list path")?;
     let graph = load_graph(path)?;
     let (source, target, window) = parse_query(&flags)?;
@@ -225,7 +248,7 @@ fn cmd_query(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_paths(args: &[String]) -> Result<String, String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_flags(args, &PATHS_FLAGS)?;
     let path = positional.first().ok_or("paths requires an edge-list path")?;
     let graph = load_graph(path)?;
     let (source, target, window) = parse_query(&flags)?;
@@ -246,7 +269,7 @@ fn cmd_paths(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_workload(args: &[String]) -> Result<String, String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_flags(args, &WORKLOAD_FLAGS)?;
     let path = positional.first().ok_or("workload requires an edge-list path")?;
     let graph = load_graph(path)?;
     let num_queries: usize = parse_number(required(&flags, "queries")?, "query count")?;
@@ -257,7 +280,7 @@ fn cmd_workload(args: &[String]) -> Result<String, String> {
     };
     // `--fanout-sources S` switches to the same-source fan-out generator;
     // `--end-spread` / `--begin-jitter` tune its window variation (the
-    // latter produces the mixed-begin bursts profile sharing groups).
+    // latter mixes window begins within a burst).
     let fanout_sources: Option<usize> = match flags.get("fanout-sources") {
         Some(v) => Some(parse_number(v, "fan-out source count")?),
         None => None,
@@ -305,7 +328,7 @@ fn cmd_workload(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_batch(args: &[String]) -> Result<String, String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_flags(args, &BATCH_FLAGS)?;
     let graph_path = positional.first().ok_or("batch requires an edge-list path")?;
     let query_path = positional.get(1).ok_or("batch requires a query-file path")?;
     let threads: usize = match flags.get("threads") {
@@ -322,59 +345,6 @@ fn cmd_batch(args: &[String]) -> Result<String, String> {
         None => None,
     };
     let no_cache = flags.contains_key("no-cache") || cache_entries == Some(0);
-    // Envelope planning: `--no-envelopes` (or a factor of 0) falls back to
-    // containment-only sharing; `--envelope-factor K` tunes the cost guard
-    // (an envelope may span at most K× its widest member window).
-    let envelope_factor: Option<f64> = match flags.get("envelope-factor") {
-        Some(v) => {
-            let factor: f64 = parse_number(v, "envelope factor")?;
-            // Factors in (0, 1) would be silently clamped to 1 by the
-            // planner; reject them so a guard sweep never lies.
-            if !factor.is_finite() || factor < 0.0 || (factor > 0.0 && factor < 1.0) {
-                return Err(format!(
-                    "--envelope-factor must be 0 (disable envelopes) or >= 1, got {v}"
-                ));
-            }
-            Some(factor)
-        }
-        None => None,
-    };
-    let mut planner = match (flags.contains_key("no-envelopes"), envelope_factor) {
-        (true, _) | (false, Some(0.0)) => PlannerConfig::containment_only(),
-        (false, Some(factor)) => PlannerConfig::with_span_factor(factor),
-        (false, None) => PlannerConfig::default(),
-    };
-    // Dense-graph heuristic: envelope synthesis turns off once the engine's
-    // observed tspG/graph vertex ratio exceeds the cutoff. `>= 1` keeps
-    // envelopes on regardless of density (the ratio never exceeds 1).
-    if let Some(v) = flags.get("envelope-density-cutoff") {
-        let cutoff: f64 = parse_number(v, "envelope density cutoff")?;
-        if !cutoff.is_finite() || cutoff < 0.0 {
-            return Err(format!("--envelope-density-cutoff must be a ratio >= 0, got {v}"));
-        }
-        planner = planner.with_density_cutoff(cutoff);
-    }
-    // Same-source profile sharing is on by default; `--no-profile-sharing`
-    // makes every plan unit run its own forward polarity pass.
-    if flags.contains_key("no-profile-sharing") {
-        planner = planner.without_profile_sharing();
-    }
-    // Dense-graph heuristic for profiles, mirroring the envelope cutoff:
-    // grouping turns off once the observed candidate-subgraph/graph vertex
-    // ratio exceeds the cutoff.
-    if let Some(v) = flags.get("profile-density-cutoff") {
-        let cutoff: f64 = parse_number(v, "profile density cutoff")?;
-        if !cutoff.is_finite() || cutoff < 0.0 {
-            return Err(format!("--profile-density-cutoff must be a ratio >= 0, got {v}"));
-        }
-        planner = planner.with_profile_density_cutoff(cutoff);
-    }
-    // `--profile-cache-size 0` disables cross-batch profile residency
-    // (groups still share one arrival profile within a batch).
-    let profile_cache_entries: Option<usize> = match flags.get("profile-cache-size") {
-        Some(v) => Some(parse_number(v, "profile cache size")?),
-        None => None,
-    };
     let graph = load_graph(graph_path)?;
     let text = std::fs::read_to_string(query_path)
         .map_err(|e| format!("cannot read {query_path}: {e}"))?;
@@ -383,16 +353,11 @@ fn cmd_batch(args: &[String]) -> Result<String, String> {
         return Err(format!("{query_path} contains no queries"));
     }
 
-    let mut engine = QueryEngine::new(graph).with_planner(planner);
-    engine = match (no_cache, cache_entries) {
+    let engine = QueryEngine::new(graph);
+    let engine = match (no_cache, cache_entries) {
         (true, _) => engine.without_cache(),
         (false, Some(entries)) => engine.with_cache(CacheConfig::with_max_entries(entries)),
         (false, None) => engine,
-    };
-    engine = match profile_cache_entries {
-        Some(0) => engine.without_profile_cache(),
-        Some(entries) => engine.with_profile_cache(ProfileCacheConfig::with_max_entries(entries)),
-        None => engine,
     };
     let started = Instant::now();
     let (results, stats) = engine.run_batch_with_stats(&queries, threads);
@@ -436,26 +401,14 @@ fn cmd_batch(args: &[String]) -> Result<String, String> {
         ),
         None => "cache=off".to_string(),
     };
-    let profile_cell = match engine.profile_cache_stats() {
-        Some(p) => format!(
-            "profile_cache_hits={} profile_cache_entries={} profile_cache_bytes={}",
-            p.hits, p.entries, p.bytes
-        ),
-        None => "profile_cache=off".to_string(),
-    };
     out.push_str(&format!(
-        "plan: units={} envelopes={} dedup={} shared={} envelope_answered={} \
-         profile_groups={} profile_answered={} degenerate={} {cache_cell} \
-         {profile_cell} (pipeline runs {} for {} queries)\n",
+        "plan: units={} dedup={} shared={} degenerate={} {cache_cell} \
+         (pipeline runs {} for {} queries)\n",
         stats.executed_units,
-        stats.envelope_units,
         stats.dedup_answered,
         stats.shared_answered,
-        stats.envelope_answered,
-        stats.profile_groups,
-        stats.profile_answered,
         stats.degenerate,
-        stats.pipeline_runs(),
+        stats.executed_units,
         stats.queries,
     ));
     Ok(out)
@@ -505,7 +458,7 @@ fn parse_edge_batches(path: &str) -> Result<Vec<Vec<TemporalEdge>>, String> {
 fn cmd_client(args: &[String]) -> Result<String, String> {
     use tspg_server::protocol::{self, Response};
 
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_flags(args, &CLIENT_FLAGS)?;
     let query_path = positional.first().ok_or("client requires a query-file path")?;
     let socket = required(&flags, "socket")?;
     let quiet = flags.contains_key("quiet");
@@ -829,7 +782,6 @@ mod tests {
         let out = dispatch(&args(&["batch", g, q, "--quiet"])).unwrap();
         let plan = out.lines().last().unwrap();
         assert!(plan.contains("units=2"), "{plan}");
-        assert!(plan.contains("envelopes=0"), "{plan}");
         assert!(plan.contains("dedup=1"), "{plan}");
         assert!(plan.contains("shared=1"), "{plan}");
         assert!(plan.contains("degenerate=1"), "{plan}");
@@ -856,112 +808,35 @@ mod tests {
     }
 
     #[test]
-    fn batch_command_envelope_flags_control_the_planner() {
+    fn unknown_flags_are_rejected() {
         let graph_path = fixture_file();
         let g = graph_path.to_str().unwrap();
         let query_path = std::env::temp_dir().join(format!(
-            "tspg_cli_envelopes_{}_{:?}.txt",
+            "tspg_cli_flags_{}_{:?}.txt",
             std::process::id(),
             std::thread::current().id()
         ));
-        // Two overlapping (non-nested) windows on the same (s, t).
-        std::fs::write(&query_path, "0 7 2 5\n0 7 4 7\n").unwrap();
+        std::fs::write(&query_path, "0 7 2 7\n").unwrap();
         let q = query_path.to_str().unwrap();
 
-        // Default planner: one synthesized envelope answers both.
-        let out = dispatch(&args(&["batch", g, q, "--quiet"])).unwrap();
-        let plan = out.lines().last().unwrap();
-        assert!(plan.contains("envelopes=1"), "{plan}");
-        assert!(plan.contains("envelope_answered=2"), "{plan}");
-        assert!(plan.contains("pipeline runs 1 for 2 queries"), "{plan}");
-
-        // --no-envelopes and --envelope-factor 0 fall back to containment.
-        for disable in [
-            &["batch", g, q, "--quiet", "--no-envelopes"][..],
-            &["batch", g, q, "--quiet", "--envelope-factor", "0"][..],
+        // Retired planner flags and typos fail before any work is done.
+        for bad in [
+            &["batch", g, q, "--no-envelopes"][..],
+            &["batch", g, q, "--thread", "2"][..],
+            &["batch", g, q, "--profile-cache-size", "4"][..],
+            &[
+                "query", g, "--source", "0", "--target", "7", "--begin", "2", "--end", "7",
+                "--quiet",
+            ][..],
+            &["stats", g, "--verbose"][..],
         ] {
-            let out = dispatch(&args(disable)).unwrap();
-            let plan = out.lines().last().unwrap();
-            assert!(plan.contains("units=2"), "{plan}");
-            assert!(plan.contains("envelopes=0"), "{plan}");
-            assert!(plan.contains("pipeline runs 2 for 2 queries"), "{plan}");
+            let err = dispatch(&args(bad)).unwrap_err();
+            assert!(err.starts_with("unknown flag --"), "{bad:?}: {err}");
         }
-
-        // A factor too tight for the merge also keeps the windows apart:
-        // the envelope [2, 7] spans 6 > 1.2 × 4.
-        let out = dispatch(&args(&["batch", g, q, "--quiet", "--envelope-factor", "1.2"])).unwrap();
-        assert!(out.lines().last().unwrap().contains("envelopes=0"), "{out}");
-
-        // Bad factors are rejected, including (0, 1) which the planner
-        // would otherwise silently clamp to 1.
-        for bad in ["lots", "-1", "inf", "0.5"] {
-            let err = dispatch(&args(&["batch", g, q, "--envelope-factor", bad])).unwrap_err();
-            assert!(err.contains("envelope"), "{err}");
-        }
-
-        std::fs::remove_file(query_path).ok();
-        std::fs::remove_file(graph_path).ok();
-    }
-
-    #[test]
-    fn batch_command_profile_flags_control_the_planner() {
-        let graph_path = fixture_file();
-        let g = graph_path.to_str().unwrap();
-        let query_path = std::env::temp_dir().join(format!(
-            "tspg_cli_profile_{}_{:?}.txt",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        // A same-source fan-out: three targets, mixed window begins.
-        std::fs::write(&query_path, "0 7 2 7\n0 2 3 7\n0 3 2 7\n").unwrap();
-        let q = query_path.to_str().unwrap();
-
-        // Default planner: one profile group spanning all three units, and
-        // the resident profile cache holding the group's source.
-        let out = dispatch(&args(&["batch", g, q, "--quiet"])).unwrap();
-        let plan = out.lines().last().unwrap();
-        assert!(plan.contains("profile_groups=1"), "{plan}");
-        assert!(plan.contains("profile_answered=3"), "{plan}");
-        assert!(plan.contains("profile_cache_entries=1"), "{plan}");
-        assert!(plan.contains("pipeline runs 3 for 3 queries"), "{plan}");
-
-        // --no-profile-sharing zeroes the overlay counters.
-        let out = dispatch(&args(&["batch", g, q, "--quiet", "--no-profile-sharing"])).unwrap();
-        let plan = out.lines().last().unwrap();
-        assert!(plan.contains("profile_groups=0"), "{plan}");
-        assert!(plan.contains("profile_answered=0"), "{plan}");
-
-        // --profile-cache-size 0 turns residency off; a positive size keeps
-        // it on; a bad size is rejected.
-        let out =
-            dispatch(&args(&["batch", g, q, "--quiet", "--profile-cache-size", "0"])).unwrap();
-        assert!(out.lines().last().unwrap().contains("profile_cache=off"), "{out}");
-        let out =
-            dispatch(&args(&["batch", g, q, "--quiet", "--profile-cache-size", "16"])).unwrap();
-        assert!(out.lines().last().unwrap().contains("profile_cache_entries=1"), "{out}");
-        let err = dispatch(&args(&["batch", g, q, "--profile-cache-size", "lots"])).unwrap_err();
-        assert!(err.contains("profile cache size"), "{err}");
-
-        // The density cutoffs are validated.
-        let out = dispatch(&args(&["batch", g, q, "--quiet", "--envelope-density-cutoff", "0.5"]))
-            .unwrap();
-        assert!(out.lines().last().unwrap().starts_with("plan:"), "{out}");
-        let out = dispatch(&args(&["batch", g, q, "--quiet", "--profile-density-cutoff", "0.5"]))
-            .unwrap();
-        assert!(out.lines().last().unwrap().starts_with("plan:"), "{out}");
-        for bad in ["nope", "-0.5", "inf"] {
-            let err =
-                dispatch(&args(&["batch", g, q, "--envelope-density-cutoff", bad])).unwrap_err();
-            assert!(err.contains("density"), "{err}");
-            let err =
-                dispatch(&args(&["batch", g, q, "--profile-density-cutoff", bad])).unwrap_err();
-            assert!(err.contains("density"), "{err}");
-        }
-        // A zero cutoff vetoes grouping outright (any observed density
-        // exceeds it once the engine has a signal; the first batch primes
-        // it, the second plans without groups).
-        let out =
-            dispatch(&args(&["batch", g, q, "--quiet", "--profile-density-cutoff", "0"])).unwrap();
+        let err = dispatch(&args(&["batch", g, q, "--thread", "2"])).unwrap_err();
+        assert_eq!(err, "unknown flag --thread");
+        // A flag one subcommand takes is accepted there.
+        let out = dispatch(&args(&["batch", g, q, "--threads", "2", "--quiet"])).unwrap();
         assert!(out.lines().last().unwrap().starts_with("plan:"), "{out}");
 
         std::fs::remove_file(query_path).ok();

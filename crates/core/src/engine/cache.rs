@@ -21,14 +21,13 @@
 //! [`ResultCache::stats`] without taking a shard lock.
 
 use crate::engine::QuerySpec;
-use crate::polarity::ArrivalProfile;
 use crate::vug::{VugReport, VugResult};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use tspg_graph::{EdgeSet, GraphEpoch, TimeInterval, VertexId};
+use std::sync::Mutex;
+use tspg_graph::EdgeSet;
 
 /// Sizing of a [`ResultCache`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -381,237 +380,6 @@ fn entry_bytes(value: &VugResult) -> usize {
     value.tspg.approx_bytes() + ENTRY_OVERHEAD
 }
 
-/// Sizing of a [`ProfileCache`].
-///
-/// Profiles are per *source*, not per query, so the working set is the
-/// number of hot fan-out sources — orders of magnitude smaller than the
-/// result cache's key space. The defaults reflect that.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ProfileCacheConfig {
-    /// Maximum number of resident profiles (≥ 1).
-    pub max_entries: usize,
-    /// Approximate upper bound on resident profile heap bytes. Profiles
-    /// larger than this are not cached at all.
-    pub max_bytes: usize,
-}
-
-impl Default for ProfileCacheConfig {
-    fn default() -> Self {
-        Self { max_entries: 128, max_bytes: 32 << 20 }
-    }
-}
-
-impl ProfileCacheConfig {
-    /// A config with the given entry bound and the default byte limit.
-    pub fn with_max_entries(max_entries: usize) -> Self {
-        Self { max_entries: max_entries.max(1), ..Self::default() }
-    }
-}
-
-/// A snapshot of the profile cache's counters and current occupancy.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ProfileCacheStats {
-    /// Lookups answered by a resident profile whose hull covers the
-    /// requested window.
-    pub hits: u64,
-    /// Lookups that found no profile, or one with too narrow a hull.
-    pub misses: u64,
-    /// Profiles stored (replacements of a stale same-source profile
-    /// included — the value really changed).
-    pub insertions: u64,
-    /// Profiles dropped to satisfy the entry or byte bound.
-    pub evictions: u64,
-    /// Resident profiles right now.
-    pub entries: usize,
-    /// Approximate resident heap bytes right now.
-    pub bytes: usize,
-}
-
-impl ProfileCacheStats {
-    /// Snapshot of every counter as `(name, value)` pairs for `key=value`
-    /// surfaces (the `tspg-server` `stats` verb). The `profile_cache_`
-    /// prefix keeps the names disjoint from both [`CacheStats::key_values`]
-    /// and [`super::BatchStats::key_values`].
-    pub fn key_values(&self) -> [(&'static str, u64); 6] {
-        [
-            ("profile_cache_hits", self.hits),
-            ("profile_cache_misses", self.misses),
-            ("profile_cache_insertions", self.insertions),
-            ("profile_cache_evictions", self.evictions),
-            ("profile_cache_entries", self.entries as u64),
-            ("profile_cache_bytes", self.bytes as u64),
-        ]
-    }
-}
-
-/// Cache key for one source's resident arrival profile.
-///
-/// `epoch` is the [`GraphEpoch`] the profile was computed against, supplied
-/// by the engine from the live graph on every lookup and insert. Bumping
-/// the graph's epoch therefore makes every resident profile unreachable
-/// without a stop-the-world flush: old-epoch entries linger until LRU
-/// pressure reclaims them, but no key built from the live graph can ever
-/// address one.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-struct ProfileKey {
-    source: VertexId,
-    epoch: GraphEpoch,
-}
-
-#[derive(Debug)]
-struct ProfileEntry {
-    value: Arc<ArrivalProfile>,
-    bytes: usize,
-    last_used: u64,
-}
-
-#[derive(Debug, Default)]
-struct ProfileMap {
-    map: HashMap<ProfileKey, ProfileEntry>,
-    bytes: usize,
-    tick: u64,
-}
-
-/// A small keyed LRU of per-source [`ArrivalProfile`]s, consulted by the
-/// engine before any profile forward pass and surviving across batches in
-/// the resident server.
-///
-/// A lookup hits only when the resident profile's hull `covers` the
-/// requested window (same source, hull ⊇ window — begins may differ, that
-/// is the whole point of a profile); a too-narrow hull is a miss and the
-/// caller's freshly computed wider profile replaces it. The cache is one
-/// mutex — it is touched once per profile *group*, not per query, so
-/// sharding would buy nothing — and eviction scans for the least recently
-/// used entry linearly, which at ≤ a few hundred hot sources beats
-/// maintaining an intrusive list.
-#[derive(Debug)]
-pub struct ProfileCache {
-    inner: Mutex<ProfileMap>,
-    max_entries: usize,
-    max_bytes: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl ProfileCache {
-    /// Creates an empty cache with the given bounds.
-    pub fn new(config: ProfileCacheConfig) -> Self {
-        Self {
-            inner: Mutex::new(ProfileMap::default()),
-            max_entries: config.max_entries.max(1),
-            max_bytes: config.max_bytes,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// Looks up a resident profile for `source` computed at `epoch` and
-    /// able to answer `window`, refreshing its recency. Profiles from any
-    /// other epoch are unreachable by key construction.
-    pub fn get(
-        &self,
-        source: VertexId,
-        epoch: GraphEpoch,
-        window: TimeInterval,
-    ) -> Option<Arc<ArrivalProfile>> {
-        let key = ProfileKey { source, epoch };
-        let found = match self.inner.lock() {
-            Ok(mut inner) => {
-                inner.tick += 1;
-                let tick = inner.tick;
-                inner.map.get_mut(&key).and_then(|entry| {
-                    if entry.value.covers(source, window) {
-                        entry.last_used = tick;
-                        Some(entry.value.clone())
-                    } else {
-                        None
-                    }
-                })
-            }
-            Err(_) => None,
-        };
-        // relaxed: hit/miss tallies are pure statistics — no reader orders
-        // other memory against them.
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    /// Stores a profile under its source and the graph `epoch` it was
-    /// computed at, replacing any resident profile for that `(source,
-    /// epoch)` and evicting LRU entries as needed. Profiles larger than the
-    /// whole byte bound are silently skipped.
-    pub fn insert(&self, profile: Arc<ArrivalProfile>, epoch: GraphEpoch) {
-        let bytes = profile_bytes(&profile);
-        if bytes > self.max_bytes {
-            return;
-        }
-        let key = ProfileKey { source: profile.source(), epoch };
-        let Ok(mut inner) = self.inner.lock() else { return };
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.insert(key, ProfileEntry { value: profile, bytes, last_used: tick }) {
-            Some(old) => inner.bytes = inner.bytes - old.bytes + bytes,
-            None => inner.bytes += bytes,
-        }
-        let mut evicted = 0u64;
-        while inner.map.len() > self.max_entries
-            || (inner.bytes > self.max_bytes && inner.map.len() > 1)
-        {
-            let Some((&victim, _)) = inner.map.iter().min_by_key(|(_, entry)| entry.last_used)
-            else {
-                break;
-            };
-            if let Some(old) = inner.map.remove(&victim) {
-                inner.bytes -= old.bytes;
-                evicted += 1;
-            }
-        }
-        drop(inner);
-        // relaxed: insertion/eviction tallies are pure statistics; the
-        // cached profile itself is published by the mutex above.
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
-    }
-
-    /// Counters plus current occupancy.
-    pub fn stats(&self) -> ProfileCacheStats {
-        let (entries, bytes) = match self.inner.lock() {
-            Ok(inner) => (inner.map.len(), inner.bytes),
-            Err(_) => (0, 0),
-        };
-        // relaxed: a stats snapshot tolerates torn reads across counters;
-        // each counter individually is just a monotone tally.
-        ProfileCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries,
-            bytes,
-        }
-    }
-}
-
-/// Fixed per-profile overhead charged on top of the profile's own heap
-/// bytes: the map entry, its share of bucket metadata, and the `Arc`
-/// control block.
-const PROFILE_ENTRY_OVERHEAD: usize =
-    2 * std::mem::size_of::<(ProfileKey, ProfileEntry)>() + 2 * std::mem::size_of::<u64>();
-
-/// Approximate heap footprint of one resident profile.
-fn profile_bytes(profile: &ArrivalProfile) -> usize {
-    profile.approx_bytes() + PROFILE_ENTRY_OVERHEAD
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -779,130 +547,6 @@ mod tests {
         let stats = cache.stats();
         assert!(stats.entries <= 8, "{stats:?}");
         assert!(stats.evictions >= 56);
-    }
-
-    fn profile(source: VertexId, begin: i64, end: i64) -> Arc<ArrivalProfile> {
-        use tspg_graph::{TemporalEdge, TemporalGraph};
-        let g = TemporalGraph::from_edges(
-            4,
-            vec![
-                TemporalEdge::new(0, 1, 2),
-                TemporalEdge::new(1, 2, 4),
-                TemporalEdge::new(2, 3, 6),
-                TemporalEdge::new(3, 0, 8),
-            ],
-        );
-        Arc::new(ArrivalProfile::compute(&g, source, TimeInterval::new(begin, end)))
-    }
-
-    #[test]
-    fn profile_cache_hits_any_covered_window_and_counts() {
-        let cache = ProfileCache::new(ProfileCacheConfig::default());
-        assert!(cache.get(0, GraphEpoch::ZERO, TimeInterval::new(2, 6)).is_none());
-        cache.insert(profile(0, 1, 9), GraphEpoch::ZERO);
-        // Any sub-window of the resident hull hits, begins included.
-        for begin in 1..=5 {
-            assert!(cache.get(0, GraphEpoch::ZERO, TimeInterval::new(begin, 6)).is_some());
-        }
-        // Other sources and wider windows miss.
-        assert!(cache.get(1, GraphEpoch::ZERO, TimeInterval::new(2, 6)).is_none());
-        assert!(cache.get(0, GraphEpoch::ZERO, TimeInterval::new(0, 6)).is_none());
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.insertions), (5, 3, 1));
-        assert_eq!(stats.entries, 1);
-        assert!(stats.bytes > 0);
-    }
-
-    #[test]
-    fn profile_cache_replaces_stale_narrow_profiles_in_place() {
-        let cache = ProfileCache::new(ProfileCacheConfig::with_max_entries(4));
-        cache.insert(profile(0, 3, 5), GraphEpoch::ZERO);
-        assert!(
-            cache.get(0, GraphEpoch::ZERO, TimeInterval::new(1, 9)).is_none(),
-            "narrow hull must miss"
-        );
-        cache.insert(profile(0, 1, 9), GraphEpoch::ZERO);
-        assert!(cache.get(0, GraphEpoch::ZERO, TimeInterval::new(1, 9)).is_some());
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 1, "same source replaces, never duplicates");
-        assert_eq!(stats.insertions, 2);
-        assert_eq!(stats.evictions, 0);
-    }
-
-    #[test]
-    fn profile_cache_evicts_least_recently_used_sources() {
-        let cache = ProfileCache::new(ProfileCacheConfig::with_max_entries(2));
-        cache.insert(profile(0, 1, 9), GraphEpoch::ZERO);
-        cache.insert(profile(1, 1, 9), GraphEpoch::ZERO);
-        // Touch source 0 so source 1 becomes LRU.
-        assert!(cache.get(0, GraphEpoch::ZERO, TimeInterval::new(2, 6)).is_some());
-        cache.insert(profile(2, 1, 9), GraphEpoch::ZERO);
-        assert!(
-            cache.get(1, GraphEpoch::ZERO, TimeInterval::new(2, 6)).is_none(),
-            "LRU source must be evicted"
-        );
-        assert!(cache.get(0, GraphEpoch::ZERO, TimeInterval::new(2, 6)).is_some());
-        assert!(cache.get(2, GraphEpoch::ZERO, TimeInterval::new(2, 6)).is_some());
-        assert_eq!(cache.stats().evictions, 1);
-        assert_eq!(cache.stats().entries, 2);
-    }
-
-    #[test]
-    fn profile_cache_byte_bound_evicts_and_skips_oversized() {
-        let per_entry = profile_bytes(&profile(0, 1, 9));
-        let cache = ProfileCache::new(ProfileCacheConfig {
-            max_entries: 1024,
-            max_bytes: 2 * per_entry + per_entry / 2,
-        });
-        cache.insert(profile(0, 1, 9), GraphEpoch::ZERO);
-        cache.insert(profile(1, 1, 9), GraphEpoch::ZERO);
-        cache.insert(profile(2, 1, 9), GraphEpoch::ZERO);
-        let stats = cache.stats();
-        assert!(stats.entries <= 2, "byte bound must hold: {stats:?}");
-        assert!(stats.bytes <= 2 * per_entry + per_entry / 2);
-        assert!(stats.evictions >= 1);
-        // A profile bigger than the whole bound is never admitted.
-        let tiny = ProfileCache::new(ProfileCacheConfig { max_entries: 1024, max_bytes: 1 });
-        tiny.insert(profile(0, 1, 9), GraphEpoch::ZERO);
-        assert_eq!(tiny.stats().entries, 0);
-    }
-
-    #[test]
-    fn profile_cache_scopes_entries_to_their_epoch() {
-        let cache = ProfileCache::new(ProfileCacheConfig::with_max_entries(8));
-        cache.insert(profile(0, 1, 9), GraphEpoch::ZERO);
-        assert!(cache.get(0, GraphEpoch::ZERO, TimeInterval::new(2, 6)).is_some());
-        // The same source at a newer epoch misses: the old profile is
-        // unreachable by key construction, no flush required.
-        let next = GraphEpoch::ZERO.next();
-        assert!(cache.get(0, next, TimeInterval::new(2, 6)).is_none());
-        cache.insert(profile(0, 1, 9), next);
-        assert!(cache.get(0, next, TimeInterval::new(2, 6)).is_some());
-        // Both epochs' entries are resident until LRU pressure reclaims the
-        // stale one; the new epoch never sees it.
-        assert_eq!(cache.stats().entries, 2);
-        assert!(cache.get(0, next.next(), TimeInterval::new(2, 6)).is_none());
-    }
-
-    #[test]
-    fn profile_cache_concurrent_access_is_safe() {
-        let cache = ProfileCache::new(ProfileCacheConfig::with_max_entries(8));
-        std::thread::scope(|scope| {
-            for worker in 0..4u32 {
-                let cache = &cache;
-                scope.spawn(move || {
-                    for i in 0..50 {
-                        let source = (i + worker) % 12;
-                        if cache.get(source, GraphEpoch::ZERO, TimeInterval::new(2, 6)).is_none() {
-                            cache.insert(profile(source, 1, 9), GraphEpoch::ZERO);
-                        }
-                    }
-                });
-            }
-        });
-        let stats = cache.stats();
-        assert_eq!(stats.hits + stats.misses, 200);
-        assert!(stats.entries <= 8);
     }
 
     #[test]

@@ -34,10 +34,9 @@
 
 use crate::engine::planner::{BatchPlan, PlanUnit};
 use crate::engine::{generate_tspg_scratch, QueryEngine, QueryScratch, QuerySpec};
-use crate::polarity::ArrivalProfile;
 use crate::vug::{VugReport, VugResult};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use tspg_graph::{EdgeSet, TemporalEdge, TemporalGraph, VertexId};
 
 /// The results of one executed [`PlanUnit`]: the unit query's own result
@@ -122,31 +121,18 @@ impl SharedTspg {
 
 /// Executes every unit of a plan across at most `threads` workers and
 /// returns the outcomes in unit order.
-///
-/// Units the planner put into a same-source profile group run through
-/// [`QueryEngine::run_with_profile`]: the first member to execute obtains
-/// the group's arrival profile — from the engine's profile cache when a
-/// resident profile covers the hull, else by one target-agnostic forward
-/// pass — and *publishes* it via `OnceLock` (mirroring the tspG
-/// publication below); every other member clamps the published profile at
-/// its own window instead of re-running the forward BFS.
 pub(crate) fn execute(engine: &QueryEngine, plan: &BatchPlan, threads: usize) -> Vec<UnitOutcome> {
     let units = plan.units();
     let num_followers: usize = units.iter().map(|u| u.followers.len()).sum();
     let threads = threads.clamp(1, (units.len() + num_followers).max(1));
     if threads == 1 {
-        let profiles = SharedProfiles::new(engine, plan);
         let mut scratch = engine.checkout_scratch();
-        let outcomes = units
-            .iter()
-            .enumerate()
-            .map(|(index, u)| execute_unit(engine, u, profiles.for_unit(index), &mut scratch))
-            .collect();
+        let outcomes = units.iter().map(|u| execute_unit(engine, u, &mut scratch)).collect();
         engine.return_scratch(scratch);
         return outcomes;
     }
 
-    let pool = WorkPool::new(engine, plan, num_followers);
+    let pool = WorkPool::new(plan, num_followers);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
@@ -174,49 +160,10 @@ pub(crate) fn execute(engine: &QueryEngine, plan: &BatchPlan, threads: usize) ->
     pool.into_outcomes()
 }
 
-/// The once-published arrival profiles of a plan's same-source groups.
-///
-/// Whoever first executes a member unit obtains the group's profile —
-/// through [`QueryEngine::profile_for`], which consults the resident
-/// profile cache before running the target-agnostic forward pass over the
-/// hull window — inside `OnceLock::get_or_init`; concurrent members of the
-/// same group block on that initialization — acceptable, because the
-/// profile is a fraction of the full pipeline run each of them is about to
-/// perform, and every other group's units remain claimable by other
-/// workers. The slots hold `Arc`s because the same profile may be resident
-/// in the engine's cache across batches.
-struct SharedProfiles<'p> {
-    engine: &'p QueryEngine,
-    plan: &'p BatchPlan,
-    slots: Vec<OnceLock<Arc<ArrivalProfile>>>,
-}
-
-impl<'p> SharedProfiles<'p> {
-    fn new(engine: &'p QueryEngine, plan: &'p BatchPlan) -> Self {
-        let slots = (0..plan.profile_groups().len()).map(|_| OnceLock::new()).collect();
-        Self { engine, plan, slots }
-    }
-
-    /// The published profile of the unit's group (obtaining and publishing
-    /// it first if this is the group's first executing member), or `None`
-    /// for ungrouped units.
-    fn for_unit(&self, index: usize) -> Option<&Arc<ArrivalProfile>> {
-        let group_index = self.plan.unit_profile_group_index(index)?;
-        let group = &self.plan.profile_groups()[group_index];
-        Some(
-            self.slots[group_index]
-                .get_or_init(|| self.engine.profile_for(group.source, group.window)),
-        )
-    }
-}
-
 /// Shared state of one parallel batch execution: result slots for every
-/// unit and follower, the published tspGs and profiles, and the claim
-/// cursors.
+/// unit and follower, the published tspGs, and the claim cursors.
 struct WorkPool<'p> {
     units: &'p [PlanUnit],
-    /// The plan's profile groups, published on first member execution.
-    profiles: SharedProfiles<'p>,
     /// Cursor over `units`; claiming past the end means "go steal".
     unit_cursor: AtomicUsize,
     /// `mains[i]` receives unit `i`'s own result.
@@ -252,7 +199,7 @@ impl Drop for PoisonOnPanic<'_> {
 }
 
 impl<'p> WorkPool<'p> {
-    fn new(engine: &'p QueryEngine, plan: &'p BatchPlan, num_followers: usize) -> Self {
+    fn new(plan: &'p BatchPlan, num_followers: usize) -> Self {
         let units = plan.units();
         let mut follower_offsets = Vec::with_capacity(units.len());
         let mut offset = 0;
@@ -265,7 +212,6 @@ impl<'p> WorkPool<'p> {
         }
         Self {
             units,
-            profiles: SharedProfiles::new(engine, plan),
             unit_cursor: AtomicUsize::new(0),
             mains: slots(units.len()),
             shared: slots(units.len()),
@@ -285,10 +231,7 @@ impl<'p> WorkPool<'p> {
             // publication is ordered by the OnceLock slots, not the cursor.
             let index = self.unit_cursor.fetch_add(1, Ordering::Relaxed);
             let Some(unit) = self.units.get(index) else { break };
-            let main = match self.profiles.for_unit(index) {
-                Some(profile) => engine.run_with_profile(unit.query, profile, scratch),
-                None => engine.run(unit.query, scratch),
-            };
+            let main = engine.run(unit.query, scratch);
             if !unit.followers.is_empty() {
                 // Publish the compacted tspG *before* parking the main
                 // result; from this instant the unit's followers are
@@ -371,23 +314,15 @@ impl<'p> WorkPool<'p> {
 /// follower on the unit's tspG (the single-worker path).
 ///
 /// Correctness of the follower path: a follower's window is contained in
-/// the unit's window on the same `(s, t)` — by construction for both
-/// containment followers and envelope members — so every temporal simple
-/// path satisfying the follower also satisfies the unit and all its edges
-/// are in the unit's tspG. Conversely the tspG is a subgraph of the input,
-/// so it adds no paths. The follower's set of temporal simple paths — and
-/// hence its tspG — is identical whether computed on the full graph or on
-/// the unit's tspG, and the latter is usually orders of magnitude smaller.
-fn execute_unit(
-    engine: &QueryEngine,
-    unit: &PlanUnit,
-    profile: Option<&Arc<ArrivalProfile>>,
-    scratch: &mut QueryScratch,
-) -> UnitOutcome {
-    let main = match profile {
-        Some(profile) => engine.run_with_profile(unit.query, profile, scratch),
-        None => engine.run(unit.query, scratch),
-    };
+/// the unit's window on the same `(s, t)` by construction, so every
+/// temporal simple path satisfying the follower also satisfies the unit
+/// and all its edges are in the unit's tspG. Conversely the tspG is a
+/// subgraph of the input, so it adds no paths. The follower's set of
+/// temporal simple paths — and hence its tspG — is identical whether
+/// computed on the full graph or on the unit's tspG, and the latter is
+/// usually orders of magnitude smaller.
+fn execute_unit(engine: &QueryEngine, unit: &PlanUnit, scratch: &mut QueryScratch) -> UnitOutcome {
+    let main = engine.run(unit.query, scratch);
     let mut followers = Vec::with_capacity(unit.followers.len());
     if !unit.followers.is_empty() {
         let shared = SharedTspg::new(&unit.query, &main.tspg);

@@ -12,23 +12,19 @@
 //!    cached results returned immediately; the rest are deduplicated and
 //!    grouped — a query whose window is contained in another query's window
 //!    on the same `(s, t)` attaches to that covering unit and reuses its
-//!    tspG instead of re-scanning the full graph, and same-`(s, t)` queries
-//!    whose windows merely *overlap* are collapsed into one synthesized
-//!    **envelope unit** `[min begin, max end]` (cost-guarded; see
-//!    [`planner::PlannerConfig`]) whose single full-graph run answers every
-//!    member from its tspG.
+//!    tspG instead of re-scanning the full graph.
 //! 2. **Execute** ([`executor`]): an atomic-cursor work-stealing loop runs
 //!    the plan's units across scoped worker threads, each worker reusing a
 //!    [`QueryScratch`] arena (zero steady-state allocation) drawn from the
 //!    engine's warm pool; once a unit's tspG is published its followers
-//!    become individually stealable work items. Units the planner grouped
-//!    by source share one [`ArrivalProfile`] forward pass (served from the
-//!    engine's resident [`cache::ProfileCache`] when a past batch already
-//!    profiled the source), clamped per member window.
+//!    become individually stealable work items.
 //! 3. **Assemble**: results fan back out to the original query order
 //!    (`results[i]` answers `queries[i]`, always) and every freshly
 //!    computed result populates the [`cache::ResultCache`] for the next
 //!    batch.
+//!
+//! Every unit is one run of the paper's VUG pipeline (QuickUBG → TightUBG
+//! → EEV) on the full graph; the engine adds no other sharing layer.
 //!
 //! Planning, caching and parallelism never change answers — only who
 //! computes them. Every result is identical to a one-shot
@@ -51,19 +47,13 @@ pub mod executor;
 pub mod planner;
 
 use crate::eev::{escaped_edges_verification_scratch, EevScratch};
-use crate::polarity::{
-    compute_polarity_into, compute_polarity_into_with_frontier, ArrivalProfile, PolarityScratch,
-    PolarityTimes, SourceFrontier,
-};
+use crate::polarity::{compute_polarity_into, PolarityScratch, PolarityTimes};
 use crate::quick_ubg::quick_upper_bound_graph_into;
 use crate::tcv::TcvTables;
 use crate::tight_ubg::tight_upper_bound_graph_into;
 use crate::vug::{VugConfig, VugReport, VugResult};
-use cache::{
-    CacheConfig, CacheStats, ProfileCache, ProfileCacheConfig, ProfileCacheStats, ResultCache,
-};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use cache::{CacheConfig, CacheStats, ResultCache};
+use std::sync::OnceLock;
 use std::time::Instant;
 use tspg_graph::{EdgeSet, GraphEpoch, TemporalEdge, TemporalGraph, TimeInterval, VertexId};
 
@@ -89,17 +79,6 @@ pub struct QueryScratch {
     gt: TemporalGraph,
     tcv: TcvTables,
     eev: EevScratch,
-    /// Edge buffer of the frontier-restricted candidate scan.
-    edge_buf: Vec<TemporalEdge>,
-    /// Compact-to-original vertex map of the frontier run's candidate.
-    originals: Vec<VertexId>,
-    /// Storage of the frontier run's candidate subgraph `H` (the restricted
-    /// scan's output, compacted, which the exact pipeline then runs on).
-    candidate: TemporalGraph,
-    /// Frontier storage a profile run clamps into (so materializing a
-    /// member's frontier from a shared [`ArrivalProfile`] allocates nothing
-    /// in steady state).
-    frontier: SourceFrontier,
 }
 
 impl QueryScratch {
@@ -122,7 +101,7 @@ pub(crate) fn generate_tspg_scratch(
     config: &VugConfig,
     scratch: &mut QueryScratch,
 ) -> VugResult {
-    let report = VugReport { input_edges: graph.num_edges(), ..VugReport::default() };
+    let mut report = VugReport { input_edges: graph.num_edges(), ..VugReport::default() };
 
     // Degenerate query (the canonical form shared with the planner and the
     // cache key): the tspG of `s == t` is empty on any graph and window.
@@ -141,115 +120,6 @@ pub(crate) fn generate_tspg_scratch(
         &mut scratch.polarity_scratch,
     );
     quick_upper_bound_graph_into(graph, &scratch.polarity, &mut scratch.gq);
-    finish_pipeline(s, t, window, config, scratch, report, started)
-}
-
-/// Frontier-sharing variant of [`generate_tspg_scratch`].
-///
-/// Phase 1's forward labels are restricted from the group's shared
-/// [`SourceFrontier`] (an `O(n)` clamp instead of a forward BFS) and a
-/// **candidate subgraph** `H` is built by scanning only the frontier's
-/// reachable out-edges (no `O(m)` filter). Because the shared forward pass
-/// does not avoid the query's target, `H` is a *superset* of the unshared
-/// pipeline's `G_q` — and the EEV rule confirmations (Lemmas 2 and 10) are
-/// only sound under `G_q`'s avoid-`t`/avoid-`s` polarity invariants, so the
-/// pipeline cannot run on `H`'s labels directly. Instead the standard exact
-/// pipeline is re-run **on `H` as the input graph**: `tspG(G) ⊆ G_q(G) ⊆ H
-/// ⊆ G` means `H` contains every temporal simple path of the query and adds
-/// none, so `tspG(H) = tspG(G)` byte for byte — the same Definition-2
-/// argument that answers followers from a covering tspG. `H` is
-/// `G_q`-sized, so the rerun costs a sliver of the full-graph pass it
-/// replaces; only the intermediate `quick_edges` / `tight_edges` report
-/// counters may differ from an unshared run (they describe `H`'s bounds).
-pub(crate) fn generate_tspg_frontier_scratch(
-    graph: &TemporalGraph,
-    query: QuerySpec,
-    frontier: &SourceFrontier,
-    config: &VugConfig,
-    scratch: &mut QueryScratch,
-) -> VugResult {
-    let report = VugReport { input_edges: graph.num_edges(), ..VugReport::default() };
-    if query.is_degenerate() {
-        return VugResult { tspg: EdgeSet::new(), report };
-    }
-    let (s, t, window) = (query.source, query.target, query.window);
-    let started = Instant::now();
-    compute_polarity_into_with_frontier(
-        graph,
-        s,
-        t,
-        window,
-        frontier,
-        &mut scratch.polarity,
-        &mut scratch.polarity_scratch,
-    );
-    crate::quick_ubg::frontier_candidate_edges(
-        graph,
-        &scratch.polarity,
-        frontier,
-        &mut scratch.edge_buf,
-    );
-
-    // Compact `H` to its induced vertex set before the rerun: the inner
-    // pipeline's working state (polarity labels, queued flags, EEV tables)
-    // scales with its input's vertex count, so running it in the parent
-    // graph's id space would keep every member run `O(|V|)` of the full
-    // graph — the same insight as the follower tspG compaction.
-    let originals = &mut scratch.originals;
-    originals.clear();
-    originals.extend(scratch.edge_buf.iter().flat_map(|e| [e.src, e.dst]));
-    originals.sort_unstable();
-    originals.dedup();
-    let (Some(cs), Some(ct)) = (originals.binary_search(&s).ok(), originals.binary_search(&t).ok())
-    else {
-        // An endpoint touches no candidate edge: no admitted edge enters
-        // `t` (or leaves `s`), so the tspG is empty — exactly what the
-        // direct pipeline concludes from its empty `G_q`.
-        let mut report = report;
-        report.quick_elapsed = started.elapsed();
-        return VugResult { tspg: EdgeSet::new(), report };
-    };
-    for e in scratch.edge_buf.iter_mut() {
-        e.src = originals.binary_search(&e.src).expect("endpoint collected") as VertexId;
-        e.dst = originals.binary_search(&e.dst).expect("endpoint collected") as VertexId;
-    }
-    // Take the candidate's storage (and the id map) out of the scratch so
-    // the inner pipeline run below can borrow the scratch mutably.
-    let mut candidate = std::mem::take(&mut scratch.candidate);
-    let originals = std::mem::take(&mut scratch.originals);
-    candidate.assign_from_edges(originals.len(), &scratch.edge_buf);
-    let restrict_elapsed = started.elapsed();
-    let inner =
-        generate_tspg_scratch(&candidate, cs as VertexId, ct as VertexId, window, config, scratch);
-    let tspg =
-        // tspg-lint: allow(hot-alloc-transitive) — answer materialization: the returned tspG (remapped to original ids) must own its edges beyond the scratch's lifetime
-        EdgeSet::from_edges(inner.tspg.edges().iter().map(|e| {
-            TemporalEdge::new(originals[e.src as usize], originals[e.dst as usize], e.time)
-        }));
-    scratch.candidate = candidate;
-    scratch.originals = originals;
-    // The slot's report describes the work of *this* run: the batch query
-    // was answered against the full graph (via its candidate), its phase-1
-    // time includes building the candidate, and `quick_edges` /
-    // `tight_edges` describe the candidate's bounds.
-    let mut report = inner.report;
-    report.input_edges = graph.num_edges();
-    report.quick_elapsed += restrict_elapsed;
-    VugResult { tspg, report }
-}
-
-/// Phases 2–3 of the pipeline, shared by the direct and frontier-sharing
-/// phase-1 variants: the caller has filled `scratch.polarity` and
-/// `scratch.gq` and started the phase-1 timer.
-fn finish_pipeline(
-    s: VertexId,
-    t: VertexId,
-    window: TimeInterval,
-    config: &VugConfig,
-    scratch: &mut QueryScratch,
-    mut report: VugReport,
-    started: Instant,
-) -> VugResult {
     report.quick_elapsed = started.elapsed();
     report.quick_edges = scratch.gq.num_edges();
     let mut approx_bytes = scratch.polarity.approx_bytes() + scratch.gq.approx_bytes();
@@ -293,36 +163,19 @@ fn finish_pipeline(
 /// How one batch was answered: the counters of the plan → execute →
 /// assemble pipeline. Returned by [`QueryEngine::run_batch_with_stats`].
 ///
-/// `queries == executed_units + shared_answered + envelope_answered +
-/// dedup_answered + cache_hits + degenerate` always holds: every query is
-/// answered exactly one way. Synthesized envelope runs answer no query
-/// directly, so they are counted separately in `envelope_units`; the total
-/// number of full-graph pipeline executions is
-/// [`BatchStats::pipeline_runs`] (`executed_units + envelope_units`).
-///
-/// `profile_groups` and `profile_answered` are **overlay** counters: a
-/// profile-sharing pipeline run is still an executed (or envelope) unit,
-/// so they participate in no sum — they satisfy `2 × profile_groups ≤
-/// pipeline_runs()` (every group spans ≥ 2 runs) and `profile_answered ≤
-/// queries` instead.
+/// `queries == executed_units + shared_answered + dedup_answered +
+/// cache_hits + degenerate` always holds: every query is answered exactly
+/// one way, and `executed_units` is the number of full-graph pipeline
+/// executions.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Queries in the batch.
     pub queries: usize,
-    /// Full-graph pipeline executions whose own result answers at least one
-    /// batch query (non-envelope plan units).
+    /// Full-graph pipeline executions (plan units).
     pub executed_units: usize,
-    /// Full-graph pipeline executions of *synthesized* envelope queries —
-    /// windows no batch query asked for, run once so their members can be
-    /// answered from the resulting tspG.
-    pub envelope_units: usize,
-    /// Queries answered by re-running the pipeline on a covering
-    /// batch-asked unit's tspG (containment sharing) rather than on the
-    /// full graph.
+    /// Queries answered by re-running the pipeline on a covering unit's
+    /// tspG (containment sharing) rather than on the full graph.
     pub shared_answered: usize,
-    /// Queries answered by re-running the pipeline on a synthesized
-    /// envelope unit's tspG (overlapping-window sharing).
-    pub envelope_answered: usize,
     /// Queries answered by copying an identical query's result computed in
     /// this very batch.
     pub dedup_answered: usize,
@@ -330,50 +183,30 @@ pub struct BatchStats {
     pub cache_hits: usize,
     /// Degenerate (`s == t`) queries answered inline with the empty tspG.
     pub degenerate: usize,
-    /// Same-source profile groups the planner formed (each shares one
-    /// target-agnostic forward arrival-profile pass across ≥ 2 pipeline
-    /// runs, window begins free to differ). Overlay counter: not part of
-    /// the sum invariant.
-    pub profile_groups: usize,
-    /// Queries answered by (or from the tspG of) a pipeline run that reused
-    /// a shared arrival profile. Overlay counter: not part of the sum
-    /// invariant.
-    pub profile_answered: usize,
 }
 
 impl BatchStats {
-    /// Full-graph pipeline executions of the batch, including synthesized
-    /// envelope runs.
-    pub fn pipeline_runs(&self) -> usize {
-        self.executed_units + self.envelope_units
-    }
-
-    /// Queries answered *without* a full-graph pipeline execution, net of
-    /// the synthesized envelope runs (the planner's saving is real only
-    /// after paying for the envelopes it invented).
+    /// Queries answered *without* a full-graph pipeline execution.
     pub fn saved_executions(&self) -> usize {
-        self.queries.saturating_sub(self.pipeline_runs())
+        self.queries.saturating_sub(self.executed_units)
     }
 
     /// Snapshot of every counter as `(name, value)` pairs, in declaration
-    /// order plus the derived `pipeline_runs` total — the one place the
-    /// counter names are spelled out for `key=value` surfaces (the
-    /// `tspg-server` `stats` verb, log lines, JSON emitters). Adding a
-    /// counter to the struct means adding it here, so such surfaces never
-    /// silently lag the struct.
-    pub fn key_values(&self) -> [(&'static str, u64); 11] {
+    /// order — the one place the counter names are spelled out for
+    /// `key=value` surfaces (the `tspg-server` `stats` verb, log lines,
+    /// JSON emitters). Adding a counter to the struct means adding it
+    /// here, so such surfaces never silently lag the struct. The trailing
+    /// `pipeline_runs` repeats `executed_units` under the name existing
+    /// consumers read.
+    pub fn key_values(&self) -> [(&'static str, u64); 7] {
         [
             ("queries", self.queries as u64),
             ("executed_units", self.executed_units as u64),
-            ("envelope_units", self.envelope_units as u64),
             ("shared_answered", self.shared_answered as u64),
-            ("envelope_answered", self.envelope_answered as u64),
             ("dedup_answered", self.dedup_answered as u64),
             ("cache_hits", self.cache_hits as u64),
             ("degenerate", self.degenerate as u64),
-            ("profile_groups", self.profile_groups as u64),
-            ("profile_answered", self.profile_answered as u64),
-            ("pipeline_runs", self.pipeline_runs() as u64),
+            ("pipeline_runs", self.executed_units as u64),
         ]
     }
 
@@ -382,52 +215,23 @@ impl BatchStats {
     pub fn merge(&mut self, other: &BatchStats) {
         self.queries += other.queries;
         self.executed_units += other.executed_units;
-        self.envelope_units += other.envelope_units;
         self.shared_answered += other.shared_answered;
-        self.envelope_answered += other.envelope_answered;
         self.dedup_answered += other.dedup_answered;
         self.cache_hits += other.cache_hits;
         self.degenerate += other.degenerate;
-        self.profile_groups += other.profile_groups;
-        self.profile_answered += other.profile_answered;
     }
 }
 
-/// Running average of observed `tspG vertices / graph vertices` ratios over
-/// an engine's full-graph pipeline runs — the signal behind the planner's
-/// dense-graph envelope heuristic.
+/// Number of hardware threads, probed once per process.
 ///
-/// On dense graphs a query's tspG covers most of the graph, so answering an
-/// envelope member by re-running the pipeline on the envelope's tspG costs
-/// nearly as much as a full run and the synthesized envelope run is pure
-/// overhead. The tracker accumulates the ratio in permille with relaxed
-/// atomics (exactness is irrelevant for a heuristic); the planner consults
-/// the average *before* each batch, so the first batch on a fresh engine
-/// plans without a density signal and later batches adapt.
-#[derive(Debug, Default)]
-struct DensityTracker {
-    permille_sum: AtomicU64,
-    samples: AtomicU64,
-}
-
-impl DensityTracker {
-    fn record(&self, tspg_vertices: usize, graph_vertices: usize) {
-        if graph_vertices == 0 {
-            return;
-        }
-        let permille = (tspg_vertices.min(graph_vertices) * 1000 / graph_vertices) as u64;
-        // relaxed: density feedback is a heuristic — a planner that reads
-        // sum and count slightly out of step still gets a usable average.
-        self.permille_sum.fetch_add(permille, Ordering::Relaxed);
-        self.samples.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn observed(&self) -> Option<f64> {
-        // relaxed: see `record` — approximate reads are fine for a heuristic.
-        let samples = self.samples.load(Ordering::Relaxed);
-        (samples > 0)
-            .then(|| self.permille_sum.load(Ordering::Relaxed) as f64 / (samples as f64 * 1000.0))
-    }
+/// `std::thread::available_parallelism` re-reads the scheduler's affinity
+/// mask (and cgroup quota) on every call; engines and servers size their
+/// pools from it at start-up, so the first answer is cached.
+pub fn hardware_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
+    })
 }
 
 /// A query engine over one loaded temporal graph.
@@ -454,19 +258,6 @@ pub struct QueryEngine {
     pool_cap: usize,
     /// Memoized `(s, t, window) → VugResult`; `None` when caching is off.
     cache: Option<ResultCache>,
-    /// Batch-planning policy: envelope synthesis and its cost guard.
-    planner: planner::PlannerConfig,
-    /// Observed tspG/graph vertex ratios of past full-graph runs (the
-    /// dense-graph envelope heuristic's input).
-    density: DensityTracker,
-    /// Resident per-source arrival profiles, surviving across batches;
-    /// `None` when profile caching is off.
-    profiles: Option<ProfileCache>,
-    /// Observed candidate-`H`/graph vertex ratios of past profile-clamped
-    /// runs (the dense-graph profile heuristic's input — on dense graphs
-    /// the clamp's superset `H` covers most of the graph and the shared
-    /// pass saves nothing).
-    profile_density: DensityTracker,
 }
 
 impl QueryEngine {
@@ -479,18 +270,12 @@ impl QueryEngine {
     /// Creates an engine with an explicit pipeline configuration and a
     /// default-sized result cache.
     pub fn with_config(graph: TemporalGraph, config: VugConfig) -> Self {
-        let pool_cap =
-            std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
         Self {
             graph,
             config,
             scratch_pool: std::sync::Mutex::new(Vec::new()),
-            pool_cap,
+            pool_cap: hardware_threads(),
             cache: Some(ResultCache::new(CacheConfig::default())),
-            planner: planner::PlannerConfig::default(),
-            density: DensityTracker::default(),
-            profiles: Some(ProfileCache::new(ProfileCacheConfig::default())),
-            profile_density: DensityTracker::default(),
         }
     }
 
@@ -498,26 +283,6 @@ impl QueryEngine {
     pub fn with_cache(mut self, config: CacheConfig) -> Self {
         self.cache = Some(ResultCache::new(config));
         self
-    }
-
-    /// Replaces the batch-planning policy (envelope synthesis on/off and
-    /// its cost-guard factor).
-    pub fn with_planner(mut self, config: planner::PlannerConfig) -> Self {
-        self.planner = config;
-        self
-    }
-
-    /// The batch-planning policy in effect.
-    pub fn planner_config(&self) -> &planner::PlannerConfig {
-        &self.planner
-    }
-
-    /// Average observed `tspG vertices / graph vertices` ratio over this
-    /// engine's past full-graph pipeline runs, or `None` before the first
-    /// run. Feeds the planner's dense-graph envelope heuristic (see
-    /// [`planner::PlannerConfig::envelope_density_cutoff`]).
-    pub fn observed_density(&self) -> Option<f64> {
-        self.density.observed()
     }
 
     /// Disables result caching entirely (every batch re-executes; useful
@@ -532,33 +297,6 @@ impl QueryEngine {
     /// is disabled.
     pub fn cache_stats(&self) -> Option<CacheStats> {
         self.cache.as_ref().map(ResultCache::stats)
-    }
-
-    /// Replaces the arrival-profile cache with one of the given bounds.
-    pub fn with_profile_cache(mut self, config: ProfileCacheConfig) -> Self {
-        self.profiles = Some(ProfileCache::new(config));
-        self
-    }
-
-    /// Disables cross-batch profile residency (profile groups still share
-    /// one forward pass within a batch, but nothing survives it).
-    pub fn without_profile_cache(mut self) -> Self {
-        self.profiles = None;
-        self
-    }
-
-    /// Counters and occupancy of the arrival-profile cache, or `None` when
-    /// profile caching is disabled.
-    pub fn profile_cache_stats(&self) -> Option<ProfileCacheStats> {
-        self.profiles.as_ref().map(ProfileCache::stats)
-    }
-
-    /// Average observed `candidate-H vertices / graph vertices` ratio over
-    /// this engine's past profile-clamped runs, or `None` before the first
-    /// one. Feeds the planner's dense-graph profile heuristic (see
-    /// [`planner::PlannerConfig::profile_density_cutoff`]).
-    pub fn observed_profile_density(&self) -> Option<f64> {
-        self.profile_density.observed()
     }
 
     /// Number of warm scratch arenas currently retained for future batches
@@ -592,8 +330,8 @@ impl QueryEngine {
         self.graph.epoch()
     }
 
-    /// Appends a timestamped edge batch to the loaded graph and invalidates
-    /// every sharing layer, returning the new [`GraphEpoch`].
+    /// Appends a timestamped edge batch to the loaded graph and flushes the
+    /// result cache, returning the new [`GraphEpoch`].
     ///
     /// The exclusive `&mut self` borrow is the consistency mechanism: no
     /// query can run while the graph is mid-mutation, so a query batch
@@ -604,13 +342,7 @@ impl QueryEngine {
     /// * the graph itself is byte-identical to a from-scratch build (see
     ///   [`TemporalGraph::extend_with_edges`]);
     /// * the result cache is flushed outright ([`ResultCache::clear`]) —
-    ///   every cached tspG was computed at the previous epoch;
-    /// * resident arrival profiles need no flush: profile-cache keys carry
-    ///   the epoch, so pre-ingest profiles become unreachable by key
-    ///   construction and age out under LRU pressure;
-    /// * the planner's observed-density heuristics are left alone — they
-    ///   only steer *how* answers are computed, never what they are, and
-    ///   edge appends shift density estimates gradually.
+    ///   every cached tspG was computed at the previous epoch.
     ///
     /// The epoch advances on every call, even for an all-duplicate batch.
     pub fn ingest(&mut self, edges: &[TemporalEdge]) -> GraphEpoch {
@@ -640,68 +372,6 @@ impl QueryEngine {
             &self.config,
             scratch,
         )
-    }
-
-    /// Answers one query out of the caller's scratch arena, clamping a
-    /// shared [`ArrivalProfile`] to the query's window for the forward half
-    /// of phase 1.
-    ///
-    /// Like [`QueryEngine::run`] this is a raw execution primitive (no
-    /// planner, no result cache); the executor calls it for units the
-    /// planner grouped into profile groups. The clamp materializes exactly
-    /// the [`SourceFrontier`] a fresh forward pass at this query's window
-    /// would compute (any begin inside the profiled hull, not just a shared
-    /// one), so the tspG is byte-identical to [`QueryEngine::run`]'s. Only
-    /// the `quick_edges` / `tight_edges` report counters may differ, because
-    /// they describe the bounds the pipeline computed on the clamped
-    /// frontier's candidate subgraph rather than on the full graph (see
-    /// `generate_tspg_frontier_scratch`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `profile` cannot answer the query (different source, or a
-    /// window not contained in the profiled hull).
-    pub fn run_with_profile(
-        &self,
-        query: QuerySpec,
-        profile: &ArrivalProfile,
-        scratch: &mut QueryScratch,
-    ) -> VugResult {
-        let mut frontier = std::mem::take(&mut scratch.frontier);
-        profile.clamp_into(query.window, &mut frontier);
-        let result =
-            generate_tspg_frontier_scratch(&self.graph, query, &frontier, &self.config, scratch);
-        scratch.frontier = frontier;
-        // Feed the profile-density heuristic with the clamp's superset
-        // ratio: `scratch.originals` holds the candidate H's vertex list
-        // after every non-degenerate run (the degenerate early-return
-        // leaves it stale, so skip it).
-        if !query.is_degenerate() {
-            self.profile_density.record(scratch.originals.len(), self.graph.num_vertices());
-        }
-        result
-    }
-
-    /// A profile able to answer any query on `source` whose window sits
-    /// inside `window` — from the resident cache when a covering profile
-    /// is held, freshly computed (and, when profile caching is on, made
-    /// resident) otherwise.
-    pub(crate) fn profile_for(
-        &self,
-        source: VertexId,
-        window: TimeInterval,
-    ) -> Arc<ArrivalProfile> {
-        let epoch = self.graph.epoch();
-        if let Some(cache) = &self.profiles {
-            if let Some(profile) = cache.get(source, epoch, window) {
-                return profile;
-            }
-        }
-        let profile = Arc::new(ArrivalProfile::compute(&self.graph, source, window));
-        if let Some(cache) = &self.profiles {
-            cache.insert(Arc::clone(&profile), epoch);
-        }
-        profile
     }
 
     /// Answers a batch of queries across at most `threads` worker threads.
@@ -750,32 +420,17 @@ impl QueryEngine {
                 pending.push((index, canonical));
             }
         }
-        let plan = planner::plan(
-            &pending,
-            &self.planner,
-            self.observed_density(),
-            self.observed_profile_density(),
-        );
-        stats.executed_units = plan.num_units() - plan.envelope_units();
-        stats.envelope_units = plan.envelope_units();
+        let plan = planner::plan_batch(&pending);
+        stats.executed_units = plan.num_units();
         stats.dedup_answered = plan.dedup_answered();
         stats.shared_answered = plan.shared_answered();
-        stats.envelope_answered = plan.envelope_answered();
-        stats.profile_groups = plan.profile_groups().len();
-        stats.profile_answered = plan.profile_answered();
 
         // Execute: work-stealing over the plan's units and, once a unit's
         // tspG is published, its individual followers.
         let outcomes = executor::execute(self, &plan, threads);
 
         // Assemble: fan results back out to batch order and feed the cache.
-        // Synthesized envelope queries are cached too — their `direct` list
-        // is empty (no batch slot asked the envelope window), but a future
-        // batch asking exactly that window hits the cache like any other.
-        let graph_vertices = self.graph.num_vertices();
         for (unit, outcome) in plan.units().iter().zip(outcomes) {
-            // Feed the density heuristic with this full-graph run's ratio.
-            self.density.record(outcome.main.report.result_vertices, graph_vertices);
             if let Some(cache) = &self.cache {
                 cache.insert(unit.query, &outcome.main);
                 for (follower, result) in unit.followers.iter().zip(&outcome.followers) {
@@ -785,9 +440,7 @@ impl QueryEngine {
             for (follower, result) in unit.followers.iter().zip(outcome.followers) {
                 fan_out(&mut results, &follower.indexes, result);
             }
-            if !unit.direct.is_empty() {
-                fan_out(&mut results, &unit.direct, outcome.main);
-            }
+            fan_out(&mut results, &unit.direct, outcome.main);
         }
         let results =
             results.into_iter().map(|r| r.expect("every query is assigned an answer")).collect();
@@ -890,9 +543,7 @@ mod tests {
     fn ingest_bumps_epoch_flushes_results_and_matches_fresh_engine() {
         let g = figure1_graph();
         let (s, t, w) = figure1_query();
-        let mut engine = QueryEngine::new(g.clone())
-            .with_cache(CacheConfig::default())
-            .with_profile_cache(ProfileCacheConfig::default());
+        let mut engine = QueryEngine::new(g.clone()).with_cache(CacheConfig::default());
         assert_eq!(engine.epoch(), GraphEpoch::ZERO);
         let queries = [QuerySpec::new(s, t, w), QuerySpec::new(2, 7, TimeInterval::new(2, 7))];
         let cold = engine.run_batch(&queries, 2);
@@ -998,51 +649,34 @@ mod tests {
         let g = figure1_graph();
         let (s, t, _) = figure1_query();
         let engine = QueryEngine::new(g.clone()).without_cache();
-        // Overlapping, non-nested windows on (s, t): the planner synthesizes
-        // one envelope [2, 7] and answers every member from its tspG.
+        // Overlapping, non-nested windows on (s, t): no window covers
+        // another, so each runs as its own unit on the full graph.
         let queries = [
             QuerySpec::new(s, t, TimeInterval::new(2, 5)),
             QuerySpec::new(s, t, TimeInterval::new(4, 7)),
             QuerySpec::new(s, t, TimeInterval::new(3, 6)),
         ];
         let (results, stats) = engine.run_batch_with_stats(&queries, 2);
-        assert_eq!(stats.executed_units, 0, "no member window is run on the full graph");
-        assert_eq!(stats.envelope_units, 1);
-        assert_eq!(stats.envelope_answered, 3);
-        assert_eq!(stats.pipeline_runs(), 1);
-        assert_eq!(stats.saved_executions(), 2);
+        assert_eq!(stats.executed_units, 3);
+        assert_eq!(stats.saved_executions(), 0);
         for (q, r) in queries.iter().zip(results.iter()) {
             let expected = generate_tspg(&g, q.source, q.target, q.window);
             assert_eq!(r.tspg, expected.tspg, "query {q}");
         }
-
-        // The synthesized envelope query itself was cached... unless the
-        // cache is off, as here; re-check with a caching engine.
-        let caching = QueryEngine::new(g.clone());
-        let (_, cold) = caching.run_batch_with_stats(&queries, 2);
-        assert_eq!(cold.envelope_answered, 3);
-        // Asking the envelope window now hits the cache directly.
-        let envelope = QuerySpec::new(s, t, TimeInterval::new(2, 7));
-        let (hit, warm) = caching.run_batch_with_stats(&[envelope], 1);
-        assert_eq!(warm.cache_hits, 1, "synthesized results must be cached: {warm:?}");
-        assert_eq!(hit[0].tspg, generate_tspg(&g, s, t, envelope.window).tspg);
     }
 
     #[test]
     fn containment_only_planner_never_synthesizes() {
         let g = figure1_graph();
         let (s, t, _) = figure1_query();
-        let engine = QueryEngine::new(g.clone())
-            .without_cache()
-            .with_planner(planner::PlannerConfig::containment_only());
+        let engine = QueryEngine::new(g.clone()).without_cache();
         let queries = [
             QuerySpec::new(s, t, TimeInterval::new(2, 5)),
             QuerySpec::new(s, t, TimeInterval::new(4, 7)),
         ];
         let (results, stats) = engine.run_batch_with_stats(&queries, 1);
         assert_eq!(stats.executed_units, 2);
-        assert_eq!(stats.envelope_units, 0);
-        assert_eq!(stats.envelope_answered, 0);
+        assert_eq!(stats.shared_answered, 0);
         for (q, r) in queries.iter().zip(results.iter()) {
             assert_eq!(r.tspg, generate_tspg(&g, q.source, q.target, q.window).tspg);
         }
@@ -1070,252 +704,6 @@ mod tests {
     }
 
     #[test]
-    fn frontier_runs_match_direct_runs_bit_for_bit() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0xf407);
-        let mut scratch = QueryScratch::new();
-        for case in 0..30 {
-            let n: u32 = rng.random_range(4..14);
-            let m = rng.random_range(8..90);
-            let edges: Vec<TemporalEdge> = (0..m)
-                .map(|_| {
-                    TemporalEdge::new(
-                        rng.random_range(0..n),
-                        rng.random_range(0..n),
-                        rng.random_range(1..12),
-                    )
-                })
-                .filter(|e| e.src != e.dst)
-                .collect();
-            let g = TemporalGraph::from_edges(n as usize, edges);
-            let engine = QueryEngine::new(g.clone());
-            let s = rng.random_range(0..n);
-            let begin = rng.random_range(1..4);
-            let hull = TimeInterval::new(begin, begin + 9);
-            let frontier = SourceFrontier::compute(&g, s, hull);
-            // Many targets and same-begin sub-windows off one hull frontier,
-            // which covers more than each member's window.
-            for _ in 0..5 {
-                let t = rng.random_range(0..n);
-                let window = TimeInterval::new(begin, rng.random_range(begin..=hull.end()));
-                let q = QuerySpec::new(s, t, window);
-                let shared = generate_tspg_frontier_scratch(
-                    engine.graph(),
-                    q,
-                    &frontier,
-                    &engine.config,
-                    &mut scratch,
-                );
-                let direct = engine.run(q, &mut scratch);
-                assert_eq!(shared.tspg, direct.tspg, "case {case} query {q}");
-                assert_eq!(shared.report.result_vertices, direct.report.result_vertices);
-                assert_eq!(shared.report.result_edges, direct.report.result_edges);
-                assert_eq!(shared.report.input_edges, direct.report.input_edges);
-            }
-        }
-    }
-
-    #[test]
-    fn profile_runs_match_direct_runs_bit_for_bit() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0x9a11);
-        let mut scratch = QueryScratch::new();
-        for case in 0..30 {
-            let n: u32 = rng.random_range(4..14);
-            let m = rng.random_range(8..90);
-            let edges: Vec<TemporalEdge> = (0..m)
-                .map(|_| {
-                    TemporalEdge::new(
-                        rng.random_range(0..n),
-                        rng.random_range(0..n),
-                        rng.random_range(1..12),
-                    )
-                })
-                .filter(|e| e.src != e.dst)
-                .collect();
-            let g = TemporalGraph::from_edges(n as usize, edges);
-            let engine = QueryEngine::new(g.clone());
-            let s = rng.random_range(0..n);
-            let hull = TimeInterval::new(1, 11);
-            let profile = ArrivalProfile::compute(&g, s, hull);
-            // Many targets and *mixed-begin* sub-windows off one profile —
-            // the sharing a per-begin frontier can never provide.
-            for _ in 0..6 {
-                let t = rng.random_range(0..n);
-                let begin = rng.random_range(1..=10);
-                let window = TimeInterval::new(begin, rng.random_range(begin..=hull.end()));
-                let q = QuerySpec::new(s, t, window);
-                let shared = engine.run_with_profile(q, &profile, &mut scratch);
-                let direct = engine.run(q, &mut scratch);
-                assert_eq!(shared.tspg, direct.tspg, "case {case} query {q}");
-                assert_eq!(shared.report.result_vertices, direct.report.result_vertices);
-                assert_eq!(shared.report.result_edges, direct.report.result_edges);
-                assert_eq!(shared.report.input_edges, direct.report.input_edges);
-            }
-        }
-    }
-
-    #[test]
-    fn profile_shared_batches_report_the_overlay_counters() {
-        let g = figure1_graph();
-        let (s, t, w) = figure1_query();
-        let engine = QueryEngine::new(g.clone()).without_cache();
-        // A fan-out: one source, three targets, mixed window begins.
-        let queries = [
-            QuerySpec::new(s, t, w),
-            QuerySpec::new(s, 2, TimeInterval::new(w.begin() + 1, w.end())),
-            QuerySpec::new(s, 3, w),
-            QuerySpec::new(t, s, w), // different source: no group
-        ];
-        for threads in [1, 4] {
-            let (results, stats) = engine.run_batch_with_stats(&queries, threads);
-            assert_eq!(stats.executed_units, 4);
-            assert_eq!(stats.profile_groups, 1, "threads={threads}: {stats:?}");
-            assert_eq!(stats.profile_answered, 3, "threads={threads}: {stats:?}");
-            for (q, r) in queries.iter().zip(results.iter()) {
-                let expected = generate_tspg(&g, q.source, q.target, q.window);
-                assert_eq!(r.tspg, expected.tspg, "threads={threads} query {q}");
-            }
-        }
-        // Disabling profile sharing zeroes the overlay counters and does
-        // not change any answer.
-        let plain = QueryEngine::new(g.clone())
-            .without_cache()
-            .with_planner(planner::PlannerConfig::default().without_profile_sharing());
-        let (results, stats) = plain.run_batch_with_stats(&queries, 2);
-        assert_eq!(stats.profile_groups, 0);
-        assert_eq!(stats.profile_answered, 0);
-        for (q, r) in queries.iter().zip(results.iter()) {
-            assert_eq!(r.tspg, generate_tspg(&g, q.source, q.target, q.window).tspg);
-        }
-    }
-
-    #[test]
-    fn resident_profiles_survive_batches_and_report_cache_hits() {
-        let g = figure1_graph();
-        let (s, t, w) = figure1_query();
-        let engine = QueryEngine::new(g.clone()).without_cache();
-        // Mixed-begin fan-out so the planner forms a profile group.
-        let queries = [
-            QuerySpec::new(s, t, w),
-            QuerySpec::new(s, 2, TimeInterval::new(w.begin() + 1, w.end())),
-            QuerySpec::new(s, 3, w),
-        ];
-        let (cold_results, cold) = engine.run_batch_with_stats(&queries, 2);
-        assert_eq!(cold.profile_groups, 1, "{cold:?}");
-        let after_cold = engine.profile_cache_stats().expect("profile cache on by default");
-        assert_eq!(after_cold.hits, 0, "{after_cold:?}");
-        assert_eq!(after_cold.insertions, 1, "{after_cold:?}");
-        assert_eq!(after_cold.entries, 1, "{after_cold:?}");
-        // The second batch's group reuses the resident profile: no second
-        // forward pass for this source, ever.
-        let (warm_results, warm) = engine.run_batch_with_stats(&queries, 2);
-        assert_eq!(warm.profile_groups, 1, "{warm:?}");
-        let after_warm = engine.profile_cache_stats().unwrap();
-        assert!(after_warm.hits > 0, "{after_warm:?}");
-        assert_eq!(after_warm.insertions, 1, "warm batch must not recompute: {after_warm:?}");
-        for ((q, cold_r), warm_r) in queries.iter().zip(&cold_results).zip(&warm_results) {
-            let expected = generate_tspg(&g, q.source, q.target, q.window);
-            assert_eq!(cold_r.tspg, expected.tspg, "query {q}");
-            assert_eq!(warm_r.tspg, expected.tspg, "query {q}");
-        }
-        // Disabling residency still shares within a batch but retains
-        // nothing across batches.
-        let transient = QueryEngine::new(g).without_cache().without_profile_cache();
-        let (_, stats) = transient.run_batch_with_stats(&queries, 2);
-        assert_eq!(stats.profile_groups, 1);
-        assert_eq!(transient.profile_cache_stats(), None);
-    }
-
-    #[test]
-    fn observed_density_tracks_full_graph_runs() {
-        let g = figure1_graph();
-        let (s, t, w) = figure1_query();
-        let engine = QueryEngine::new(g).without_cache();
-        assert_eq!(engine.observed_density(), None, "fresh engines have no signal");
-        let _ = engine.run_batch(&[QuerySpec::new(s, t, w)], 1);
-        // Fig. 1(c): 4 tspG vertices of 8.
-        let observed = engine.observed_density().expect("one run recorded");
-        assert!((observed - 0.5).abs() < 1e-9, "observed {observed}");
-        // An empty-result run drags the average down.
-        let _ = engine.run_batch(&[QuerySpec::new(t, s, w)], 1);
-        let observed = engine.observed_density().unwrap();
-        assert!((observed - 0.25).abs() < 1e-9, "observed {observed}");
-    }
-
-    #[test]
-    fn dense_engines_stop_synthesizing_envelopes() {
-        // A dense miniature: tspGs cover most of the graph, so envelope
-        // reruns cannot win. After one observing batch the engine must plan
-        // overlap chains containment-only — pipeline_runs no worse than an
-        // explicitly containment-only engine.
-        let g = dense_clique_graph();
-        let overlap = [
-            QuerySpec::new(0, 5, TimeInterval::new(1, 6)),
-            QuerySpec::new(0, 5, TimeInterval::new(4, 9)),
-        ];
-        let adaptive = QueryEngine::new(g.clone())
-            .without_cache()
-            .with_planner(planner::PlannerConfig::default().with_density_cutoff(0.5));
-        // Priming batch: record the density signal.
-        let (_, cold) = adaptive.run_batch_with_stats(&overlap, 1);
-        assert_eq!(cold.envelope_units, 1, "no signal yet: envelopes on");
-        let observed = adaptive.observed_density().expect("primed");
-        assert!(observed > 0.5, "the miniature must be dense, observed {observed}");
-        let (_, warm) = adaptive.run_batch_with_stats(&overlap, 1);
-        assert_eq!(warm.envelope_units, 0, "dense signal must disable synthesis");
-        let containment = QueryEngine::new(g)
-            .without_cache()
-            .with_planner(planner::PlannerConfig::containment_only());
-        let (_, baseline) = containment.run_batch_with_stats(&overlap, 1);
-        assert_eq!(warm.pipeline_runs(), baseline.pipeline_runs());
-    }
-
-    #[test]
-    fn dense_engines_stop_sharing_profiles() {
-        // Same heuristic, profile flavor: on the dense miniature a clamp's
-        // candidate H covers nearly the whole graph, so the shared forward
-        // pass saves nothing. A mixed-begin fan-out forms a group while no
-        // signal exists, records the density, and stops grouping after.
-        let g = dense_clique_graph();
-        let fanout = [
-            QuerySpec::new(0, 5, TimeInterval::new(1, 9)),
-            QuerySpec::new(0, 6, TimeInterval::new(2, 9)),
-            QuerySpec::new(0, 7, TimeInterval::new(1, 9)),
-        ];
-        let engine = QueryEngine::new(g)
-            .without_cache()
-            .with_planner(planner::PlannerConfig::default().with_profile_density_cutoff(0.5));
-        assert_eq!(engine.observed_profile_density(), None, "fresh engines have no signal");
-        let (_, cold) = engine.run_batch_with_stats(&fanout, 1);
-        assert_eq!(cold.profile_groups, 1, "no signal yet: profile sharing on");
-        let observed = engine.observed_profile_density().expect("profile runs recorded");
-        assert!(observed > 0.5, "the miniature must be dense, observed {observed}");
-        let (_, warm) = engine.run_batch_with_stats(&fanout, 1);
-        assert_eq!(warm.profile_groups, 0, "dense signal must disable profile sharing");
-        assert_eq!(warm.profile_answered, 0);
-    }
-
-    /// A small dense graph: edges between most vertex pairs at several
-    /// timestamps, so a wide query's tspG covers almost every vertex.
-    fn dense_clique_graph() -> TemporalGraph {
-        let n = 8u32;
-        let mut edges = Vec::new();
-        for u in 0..n {
-            for v in 0..n {
-                if u != v {
-                    for time in 1..=9 {
-                        edges.push(TemporalEdge::new(u, v, time));
-                    }
-                }
-            }
-        }
-        TemporalGraph::from_edges(n as usize, edges)
-    }
-
-    #[test]
     fn scratch_pool_is_reused_and_bounded() {
         let (s, t, w) = figure1_query();
         let engine = QueryEngine::new(figure1_graph());
@@ -1329,7 +717,7 @@ mod tests {
         // Even a maximally oversubscribed batch must not retain more warm
         // scratches than the hardware can run concurrently.
         let _ = engine.run_batch(&queries, 64);
-        let cap = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
+        let cap = hardware_threads();
         assert!(engine.pooled_scratches() <= cap, "pool exceeded cap {cap}");
         // Subsequent batches draw from (and refill) the pool, never past it.
         let retained = engine.pooled_scratches();

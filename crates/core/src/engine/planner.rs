@@ -1,9 +1,8 @@
-//! Batch planning: collapse duplicate queries, attach window-contained
-//! queries to the unit whose result already covers them, and synthesize
-//! **envelope units** for overlapping (non-nested) windows.
+//! Batch planning: collapse duplicate queries and attach window-contained
+//! queries to the unit whose result already covers them.
 //!
 //! The planner turns the flat query list of a batch into a [`BatchPlan`] of
-//! executable [`PlanUnit`]s. Three reductions are applied, all purely
+//! executable [`PlanUnit`]s. Two reductions are applied, both purely
 //! syntactic on the canonical query forms (no graph access):
 //!
 //! 1. **Dedup** — queries with identical canonical form share one unit; the
@@ -15,144 +14,28 @@
 //!    unit's tspG (Definition 2); the follower is therefore answered exactly
 //!    by re-running the pipeline *on that tspG* — usually orders of
 //!    magnitude smaller than the input graph — instead of on the full graph.
-//! 3. **Envelope units** — same-`(s, t)` queries whose windows merely
-//!    *overlap* (their union is one interval, no member containing the
-//!    rest) are collapsed into one *synthesized* unit whose window is the
-//!    envelope `[min begin, max end]`. The envelope query was never asked
-//!    by the batch — its `direct` list is empty — but every member window
-//!    is contained in the envelope, so each member becomes a follower and
-//!    is answered exactly from the envelope's tspG by the same Definition-2
-//!    argument as reduction 2. One full-graph pipeline execution (over a
-//!    slightly wider window) replaces one per member.
 //!
-//!    A **cost guard** keeps envelopes from regressing latency: merging is
-//!    abandoned whenever the envelope's span would exceed
-//!    [`PlannerConfig::envelope_span_factor`] times the widest member's
-//!    span, so a pathological chain of barely-overlapping windows is split
-//!    into several bounded envelopes instead of one graph-wide window.
-//!
-//! The planner never changes answers, only who computes them: the executor
-//! runs one full-graph pipeline per unit and one tspG-sized pipeline per
-//! follower, and the assembly step fans results back out to the original
-//! query order.
+//! Every unit is a query the batch asked: the planner never synthesizes a
+//! window, so each unit costs exactly the one VUG run the paper prescribes
+//! for it. The planner never changes answers, only who computes them: the
+//! executor runs one full-graph pipeline per unit and one tspG-sized
+//! pipeline per follower, and the assembly step fans results back out to
+//! the original query order.
 
-use crate::engine::QuerySpec;
+use crate::engine::cache::CacheStats;
+use crate::engine::{QueryEngine, QuerySpec};
 use std::collections::HashMap;
 use tspg_graph::{TimeInterval, VertexId};
-
-/// Default envelope cost-guard factor: an envelope may span at most this
-/// many times the widest window it absorbs.
-pub const DEFAULT_ENVELOPE_SPAN_FACTOR: f64 = 2.0;
-
-/// Default dense-graph cutoff: envelope synthesis is disabled once the
-/// engine's observed average `tspG vertices / graph vertices` ratio
-/// exceeds this value (see [`PlannerConfig::envelope_density_cutoff`]).
-pub const DEFAULT_ENVELOPE_DENSITY_CUTOFF: f64 = 0.8;
-
-/// Default dense-graph cutoff for profile sharing: grouping is disabled
-/// once the engine's observed average `clamp superset H vertices / graph
-/// vertices` ratio exceeds this value (see
-/// [`PlannerConfig::profile_density_cutoff`]).
-pub const DEFAULT_PROFILE_DENSITY_CUTOFF: f64 = 0.8;
-
-/// Planner policy knobs (the CLI exposes them as `--envelope-factor`,
-/// `--no-envelopes`, `--envelope-density-cutoff` and
-/// `--no-profile-sharing`).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PlannerConfig {
-    /// Synthesize envelope units for overlapping windows. When `false` the
-    /// planner shares work on exact containment only (the PR 3 behaviour).
-    pub envelopes: bool,
-    /// Cost guard `k ≥ 1`: an envelope's span may not exceed `k ×` the span
-    /// of the widest window merged into it. The same factor guards
-    /// same-source profile hulls: a unit joins a profile group only while
-    /// the hull's span stays within `k ×` every member's own span.
-    pub envelope_span_factor: f64,
-    /// Dense-graph heuristic (the ROADMAP item): when the engine's observed
-    /// average `tspG vertices / graph vertices` ratio exceeds this cutoff,
-    /// envelope synthesis is disabled for the batch — on dense graphs a
-    /// follower rerun over the envelope's tspG costs nearly as much as a
-    /// full-graph run, so the synthesized envelope run is pure overhead.
-    /// Containment sharing and dedup are unaffected (they never add runs).
-    pub envelope_density_cutoff: f64,
-    /// Group same-source units (begins hulled under the span-factor guard)
-    /// so the executor computes one target-agnostic arrival profile
-    /// ([`crate::polarity::ArrivalProfile`]) per group instead of one
-    /// forward pass per unit.
-    pub profile_sharing: bool,
-    /// Dense-graph heuristic for profile sharing, mirroring
-    /// `envelope_density_cutoff`: when the engine's observed average
-    /// `clamp superset H vertices / graph vertices` ratio exceeds this
-    /// cutoff, profile grouping is disabled for the batch — on dense
-    /// graphs the clamped candidate subgraph `H` is nearly the whole
-    /// graph, so the profile pass plus the member reruns cost more than
-    /// the plain per-unit pipeline.
-    pub profile_density_cutoff: f64,
-}
-
-impl Default for PlannerConfig {
-    fn default() -> Self {
-        Self {
-            envelopes: true,
-            envelope_span_factor: DEFAULT_ENVELOPE_SPAN_FACTOR,
-            envelope_density_cutoff: DEFAULT_ENVELOPE_DENSITY_CUTOFF,
-            profile_sharing: true,
-            profile_density_cutoff: DEFAULT_PROFILE_DENSITY_CUTOFF,
-        }
-    }
-}
-
-impl PlannerConfig {
-    /// Containment-only sharing — no synthesized envelope units.
-    pub fn containment_only() -> Self {
-        Self { envelopes: false, ..Self::default() }
-    }
-
-    /// Envelope sharing with an explicit cost-guard factor, clamped to
-    /// `≥ 1`. At exactly 1 only containment can merge, so the planner
-    /// behaves like [`PlannerConfig::containment_only`]; non-finite input
-    /// (NaN, ±∞) clamps to 1 too — the conservative end, never surprise
-    /// merging from a degenerate computed ratio.
-    pub fn with_span_factor(factor: f64) -> Self {
-        let factor = if factor.is_finite() { factor.max(1.0) } else { 1.0 };
-        Self { envelope_span_factor: factor, ..Self::default() }
-    }
-
-    /// Disables same-source profile sharing (every unit runs its own
-    /// forward polarity pass — the PR 4 behaviour).
-    pub fn without_profile_sharing(mut self) -> Self {
-        self.profile_sharing = false;
-        self
-    }
-
-    /// Sets the dense-graph cutoff for envelope synthesis. The observed
-    /// ratio lies in `[0, 1]`, so a cutoff `≥ 1` keeps envelopes on
-    /// regardless of density; non-finite or negative input clamps to 0
-    /// (every observation counts as dense — the conservative end).
-    pub fn with_density_cutoff(mut self, cutoff: f64) -> Self {
-        self.envelope_density_cutoff = if cutoff.is_finite() { cutoff.max(0.0) } else { 0.0 };
-        self
-    }
-
-    /// Sets the dense-graph cutoff for profile sharing, with the same
-    /// clamping rules as [`PlannerConfig::with_density_cutoff`].
-    pub fn with_profile_density_cutoff(mut self, cutoff: f64) -> Self {
-        self.profile_density_cutoff = if cutoff.is_finite() { cutoff.max(0.0) } else { 0.0 };
-        self
-    }
-}
 
 /// One executable unit of a [`BatchPlan`]: a canonical query, the original
 /// batch positions it answers directly, and the narrower queries answered
 /// from its result.
 #[derive(Clone, Debug)]
 pub struct PlanUnit {
-    /// The canonical query the executor runs against the full graph. For a
-    /// synthesized envelope unit this query was never asked by the batch.
+    /// The canonical query the executor runs against the full graph.
     pub query: QuerySpec,
     /// Positions in the original batch answered by this unit's result
-    /// verbatim (the unit's own query plus exact duplicates). Empty iff the
-    /// unit is a synthesized envelope.
+    /// verbatim (the unit's own query plus exact duplicates); never empty.
     pub direct: Vec<usize>,
     /// Distinct narrower queries answered by re-running the pipeline on
     /// this unit's tspG.
@@ -160,22 +43,10 @@ pub struct PlanUnit {
 }
 
 impl PlanUnit {
-    /// Returns `true` if this unit's query was synthesized by envelope
-    /// planning rather than asked by the batch.
-    pub fn is_envelope(&self) -> bool {
-        self.direct.is_empty()
-    }
-
     /// The smallest original batch position this unit answers (through its
     /// direct slots or its followers) — the deterministic ordering key.
     fn first_index(&self) -> usize {
-        self.direct
-            .first()
-            .copied()
-            .into_iter()
-            .chain(self.followers.iter().map(|f| f.indexes[0]))
-            .min()
-            .expect("a unit answers at least one query")
+        self.followers.iter().map(|f| f.indexes[0]).fold(self.direct[0], usize::min)
     }
 }
 
@@ -189,30 +60,6 @@ pub struct Follower {
     pub indexes: Vec<usize>,
 }
 
-/// A set of plan units sharing one source: the executor computes one
-/// target-agnostic arrival profile
-/// ([`crate::polarity::ArrivalProfile`]) over the group's hull window and
-/// every member unit clamps it at its own `(begin, end)` instead of
-/// running a forward pass.
-///
-/// Exactness: the profile stores earliest arrival as a step function of
-/// the start bound, so the clamp reproduces a fresh forward pass for
-/// *every* member window inside the hull — begins no longer need to match
-/// (the PR 5 restriction). The shared pass does not avoid any member's
-/// target, so each member runs the exact pipeline on the candidate
-/// subgraph the clamped frontier defines (`tspG ⊆ G_q ⊆ H ⊆ G` — the
-/// Definition-2 rerun argument), producing the byte-identical tspG.
-#[derive(Clone, Debug)]
-pub struct ProfileGroup {
-    /// The shared source vertex.
-    pub source: VertexId,
-    /// Hull window `[min member begin, max member end]` the profile's
-    /// forward pass runs over.
-    pub window: TimeInterval,
-    /// Indices into [`BatchPlan::units`] of the member units (≥ 2).
-    pub units: Vec<usize>,
-}
-
 /// The execution plan of one batch: units to run, and counters describing
 /// how much work planning saved.
 #[derive(Clone, Debug, Default)]
@@ -221,12 +68,6 @@ pub struct BatchPlan {
     planned_queries: usize,
     dedup_answered: usize,
     shared_answered: usize,
-    envelope_answered: usize,
-    envelope_units: usize,
-    profile_groups: Vec<ProfileGroup>,
-    /// `unit_group[i]` is the profile group unit `i` belongs to, if any.
-    unit_group: Vec<Option<usize>>,
-    profile_answered: usize,
 }
 
 impl BatchPlan {
@@ -235,8 +76,7 @@ impl BatchPlan {
         &self.units
     }
 
-    /// Number of full-graph pipeline executions the plan requires
-    /// (including synthesized envelope units).
+    /// Number of full-graph pipeline executions the plan requires.
     pub fn num_units(&self) -> usize {
         self.units.len()
     }
@@ -253,51 +93,14 @@ impl BatchPlan {
         self.dedup_answered
     }
 
-    /// Queries answered from a *batch-asked* covering unit's tspG instead
-    /// of the full graph (counting duplicates of followers once each).
+    /// Queries answered from a covering unit's tspG instead of the full
+    /// graph (counting duplicates of followers once each).
     pub fn shared_answered(&self) -> usize {
         self.shared_answered
     }
-
-    /// Queries answered from a synthesized envelope unit's tspG (counting
-    /// duplicates once each).
-    pub fn envelope_answered(&self) -> usize {
-        self.envelope_answered
-    }
-
-    /// Number of synthesized envelope units in the plan (full-graph runs
-    /// that answer no batch query directly).
-    pub fn envelope_units(&self) -> usize {
-        self.envelope_units
-    }
-
-    /// The same-source profile groups of the plan (each with ≥ 2 member
-    /// units), in deterministic first-appearance order.
-    pub fn profile_groups(&self) -> &[ProfileGroup] {
-        &self.profile_groups
-    }
-
-    /// The profile group the unit at `index` belongs to, if any.
-    pub fn unit_profile_group(&self, index: usize) -> Option<&ProfileGroup> {
-        self.unit_profile_group_index(index).map(|g| &self.profile_groups[g])
-    }
-
-    /// Index into [`BatchPlan::profile_groups`] of the unit's group, if
-    /// any (the executor keys its published profiles by this).
-    pub fn unit_profile_group_index(&self, index: usize) -> Option<usize> {
-        self.unit_group.get(index).copied().flatten()
-    }
-
-    /// Batch queries answered by (or from the tspG of) a unit that shares
-    /// an arrival profile — an overlay counter (such queries are also
-    /// counted by the regular buckets).
-    pub fn profile_answered(&self) -> usize {
-        self.profile_answered
-    }
 }
 
-/// One distinct query being grouped: its slot in the planner's `distinct`
-/// list plus the batch positions it answers.
+/// One distinct query being grouped, with the batch positions it answers.
 struct Member {
     query: QuerySpec,
     indexes: Vec<usize>,
@@ -306,26 +109,7 @@ struct Member {
 /// Builds the execution plan for `pending`: pairs of (original batch
 /// position, canonical query). Degenerate queries and cache hits must
 /// already have been filtered out by the caller.
-///
-/// `observed_density` is the engine's running average `tspG vertices /
-/// graph vertices` ratio (`None` before the first full-graph run); when it
-/// exceeds [`PlannerConfig::envelope_density_cutoff`] envelope synthesis is
-/// disabled for this batch — the dense-graph heuristic — while containment
-/// sharing, dedup and profile grouping stay on (they never add pipeline
-/// runs).
-///
-/// `observed_profile_density` is the analogous running average for shared
-/// runs: `clamp superset H vertices / graph vertices` (`None` before the
-/// first shared run); above
-/// [`PlannerConfig::profile_density_cutoff`] profile grouping is disabled
-/// for this batch — on dense graphs the clamped candidate subgraph is
-/// nearly the whole graph, making the shared pass pure overhead.
-pub fn plan(
-    pending: &[(usize, QuerySpec)],
-    config: &PlannerConfig,
-    observed_density: Option<f64>,
-    observed_profile_density: Option<f64>,
-) -> BatchPlan {
+pub fn plan_batch(pending: &[(usize, QuerySpec)]) -> BatchPlan {
     // 1. Dedup: canonical query -> every batch position asking it. The
     //    distinct list preserves first-appearance order so that planning is
     //    deterministic regardless of hash iteration order.
@@ -340,7 +124,11 @@ pub fn plan(
             }
         }
     }
-    let dedup_answered = pending.len() - distinct.len();
+    let mut plan = BatchPlan {
+        planned_queries: pending.len(),
+        dedup_answered: pending.len() - distinct.len(),
+        ..BatchPlan::default()
+    };
 
     // 2. Group distinct queries by endpoint pair.
     let mut groups: HashMap<(VertexId, VertexId), Vec<usize>> = HashMap::new();
@@ -348,228 +136,111 @@ pub fn plan(
         groups.entry((member.query.source, member.query.target)).or_default().push(slot);
     }
 
-    // 3. Per-group window sweep. Sorting windows by (begin asc, end desc)
-    //    means every earlier entry starts no later than the current one,
-    //    which makes both containment ("is the current window inside the
-    //    max-end unit seen so far?") and contiguity ("does the current
-    //    window extend the running envelope?") single-pass checks.
-    //
-    //    Containment-only mode is the factor-1 special case of the same
-    //    sweep: with begins ascending, a factor-1 hull may never exceed
-    //    the widest member's span, which forces hull == cluster head —
-    //    pure containment attachment, never a synthesized window.
-    let dense = observed_density.is_some_and(|ratio| ratio > config.envelope_density_cutoff);
-    let factor =
-        if config.envelopes && !dense { config.envelope_span_factor.max(1.0) } else { 1.0 };
-    let mut plan =
-        BatchPlan { planned_queries: pending.len(), dedup_answered, ..Default::default() };
-    for slots in groups.values() {
-        let mut ordered: Vec<usize> = slots.clone();
-        ordered.sort_by_key(|&slot| {
+    // 3. Per-group containment sweep. Sorting windows by (begin asc, end
+    //    desc) means every earlier window starts no later than the current
+    //    one, so "is the current window inside the group's last unit?" is
+    //    the whole containment test: an earlier unit that covers it ends no
+    //    later than the last unit (else it would have covered that unit
+    //    too), so the last unit covers it as well.
+    for mut slots in groups.into_values() {
+        slots.sort_by_key(|&slot| {
             let w = distinct[slot].query.window;
             (w.begin(), std::cmp::Reverse(w.end()))
         });
-        sweep(&distinct, &ordered, factor, &mut plan);
+        let mut cover: Option<TimeInterval> = None;
+        for slot in slots {
+            let member = &distinct[slot];
+            let (query, indexes) = (member.query, member.indexes.clone());
+            match plan.units.last_mut() {
+                Some(unit) if cover.is_some_and(|w| w.contains_interval(&query.window)) => {
+                    unit.followers.push(Follower { query, indexes });
+                    plan.shared_answered += 1;
+                }
+                _ => {
+                    cover = Some(query.window);
+                    plan.units.push(PlanUnit { query, direct: indexes, followers: Vec::new() });
+                }
+            }
+        }
     }
 
     // 4. Deterministic unit order: first batch appearance.
     plan.units.sort_by_key(PlanUnit::first_index);
-
-    // 5. Profile grouping: units sharing a source — the arrival-profile
-    //    pass over the hull `[min begin, max end]` clamps exactly at every
-    //    member window. The span factor guards the hull like it guards
-    //    envelopes: a unit joins only while the hull's span stays within
-    //    `factor ×` *every* member's own span, so a narrow window never
-    //    pays for a profile computed over a vastly wider one. (The profile
-    //    guard always uses the configured factor — hull width is a
-    //    per-member scan-cost concern — but the *profile* density signal
-    //    gates grouping entirely on dense graphs, where the clamped
-    //    candidate subgraph approaches the whole graph.)
-    let profile_dense =
-        observed_profile_density.is_some_and(|ratio| ratio > config.profile_density_cutoff);
-    if config.profile_sharing && !profile_dense {
-        group_profiles(config.envelope_span_factor.max(1.0), &mut plan);
-    }
     plan
 }
 
-/// Step 5 of [`plan`]: partition the (sorted) units into same-source
-/// profile groups. Units bucket by source in first-appearance order;
-/// within a bucket, units ordered by descending window end greedily join
-/// the running hull while `hull span ≤ factor × min member span`
-/// (checking against the narrowest member keeps the guard invariant for
-/// units that joined before the hull widened towards earlier begins),
-/// else a new hull starts. Clusters of one unit share nothing and are
-/// left ungrouped.
-fn group_profiles(factor: f64, plan: &mut BatchPlan) {
-    let mut by_source: HashMap<VertexId, usize> = HashMap::new();
-    let mut buckets: Vec<Vec<usize>> = Vec::new();
-    for (index, unit) in plan.units.iter().enumerate() {
-        let slot = *by_source.entry(unit.query.source).or_insert_with(|| {
-            buckets.push(Vec::new());
-            buckets.len() - 1
-        });
-        buckets[slot].push(index);
-    }
-    plan.unit_group = vec![None; plan.units.len()];
-    for mut bucket in buckets {
-        if bucket.len() < 2 {
-            continue;
-        }
-        // Descending end; ties keep unit order for determinism.
-        bucket
-            .sort_by_key(|&index| (std::cmp::Reverse(plan.units[index].query.window.end()), index));
-        let mut cluster: Vec<usize> = Vec::new();
-        let mut hull = plan.units[bucket[0]].query.window;
-        let mut min_span = i64::MAX;
-        for &index in &bucket {
-            let window = plan.units[index].query.window;
-            let grown = hull.hull(&window);
-            let narrowest = min_span.min(window.span());
-            if grown.span() as f64 <= factor * narrowest as f64 {
-                cluster.push(index);
-                hull = grown;
-                min_span = narrowest;
-            } else {
-                flush_profile_cluster(&mut cluster, hull, plan);
-                hull = window;
-                min_span = window.span();
-                cluster.push(index);
-            }
-        }
-        flush_profile_cluster(&mut cluster, hull, plan);
+// Compatibility surface for `benchmark/`, which builds against the
+// engine's public API and still calls the planner policy, density signals
+// and profile layers this crate no longer has: `benchmark/src/replay.rs`
+// calls `plan`, `QueryEngine::planner_config`,
+// `QueryEngine::observed_density`, `QueryEngine::observed_profile_density`
+// and `BatchPlan::profile_groups`; `benchmark/src/verify.rs` calls
+// `QueryEngine::without_profile_cache`; `benchmark/src/batch.rs` calls
+// `QueryEngine::profile_cache_stats`. Every item returns the neutral value
+// (no groups, `None`, a no-op). Delete the block once the benchmark stops
+// calling it.
+
+/// The retired planner policy; it has no settings left.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PlannerConfig;
+
+/// A same-source profile group; the planner never forms one.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug)]
+pub struct ProfileGroup {
+    /// The shared source vertex.
+    pub source: VertexId,
+    /// The hull window of the group.
+    pub window: TimeInterval,
+}
+
+/// [`plan_batch`] under its former signature; the policy and the density
+/// signals are ignored.
+#[doc(hidden)]
+pub fn plan(
+    pending: &[(usize, QuerySpec)],
+    _config: &PlannerConfig,
+    _observed_density: Option<f64>,
+    _observed_profile_density: Option<f64>,
+) -> BatchPlan {
+    plan_batch(pending)
+}
+
+#[doc(hidden)]
+impl BatchPlan {
+    /// Always empty.
+    pub fn profile_groups(&self) -> &[ProfileGroup] {
+        &[]
     }
 }
 
-/// Publishes one profile cluster as a [`ProfileGroup`] if it has at
-/// least two members, and clears it either way.
-fn flush_profile_cluster(cluster: &mut Vec<usize>, hull: TimeInterval, plan: &mut BatchPlan) {
-    if cluster.len() >= 2 {
-        let group = plan.profile_groups.len();
-        let source = plan.units[cluster[0]].query.source;
-        for &index in cluster.iter() {
-            plan.unit_group[index] = Some(group);
-            let unit = &plan.units[index];
-            plan.profile_answered +=
-                unit.direct.len() + unit.followers.iter().map(|f| f.indexes.len()).sum::<usize>();
-        }
-        debug_assert!(cluster.iter().all(|&i| hull.contains_interval(&plan.units[i].query.window)));
-        plan.profile_groups.push(ProfileGroup {
-            source,
-            window: hull,
-            units: std::mem::take(cluster),
-        });
-    } else {
-        cluster.clear();
+#[doc(hidden)]
+impl QueryEngine {
+    /// The (empty) planner policy.
+    pub fn planner_config(&self) -> &PlannerConfig {
+        &PlannerConfig
     }
-}
 
-/// The per-group sweep: greedily grow a cluster of windows whose union is
-/// a single interval, flushing whenever the next window would break
-/// contiguity or blow the cost guard.
-///
-/// Containment is subsumed: a window inside the running envelope never
-/// grows it, so it always joins the cluster, and a cluster whose envelope
-/// equals its first member's window flushes as a plain covering unit (the
-/// PR 3 shape) rather than a synthesized one. At `factor == 1.0` that is
-/// the *only* possible shape — growing the hull past the first member is
-/// never allowed — so the factor-1 sweep reproduces PR 3's
-/// containment-only planning exactly (the tests pin this equivalence).
-fn sweep(distinct: &[Member], ordered: &[usize], factor: f64, plan: &mut BatchPlan) {
-    // The open cluster: member slots, envelope so far, widest member span.
-    let mut cluster: Vec<usize> = Vec::new();
-    let mut envelope: Option<TimeInterval> = None;
-    let mut widest_span: i64 = 0;
-    for &slot in ordered {
-        let window = distinct[slot].query.window;
-        let merged = match envelope {
-            Some(env) if env.union_is_interval(&window) => {
-                let hull = env.hull(&window);
-                let widest = widest_span.max(window.span());
-                if hull == env {
-                    // Contained in the running envelope: always joins.
-                    Some((env, widest))
-                } else {
-                    // Growing the hull is an envelope merge proper: allowed
-                    // only when the merged span stays within `factor ×` the
-                    // widest window absorbed so far (including this one).
-                    // The explicit `factor > 1` check keeps factor-1 mode
-                    // containment-only even when saturated spans (both
-                    // `i64::MAX`) would make the arithmetic guard pass.
-                    (factor > 1.0 && hull.span() as f64 <= factor * widest as f64)
-                        .then_some((hull, widest))
-                }
-            }
-            _ => None,
-        };
-        match merged {
-            Some((hull, widest)) => {
-                envelope = Some(hull);
-                widest_span = widest;
-                cluster.push(slot);
-            }
-            None => {
-                if let Some(env) = envelope {
-                    flush_cluster(distinct, &cluster, env, plan);
-                }
-                cluster.clear();
-                cluster.push(slot);
-                envelope = Some(window);
-                widest_span = window.span();
-            }
-        }
+    /// Always `None`.
+    pub fn observed_density(&self) -> Option<f64> {
+        None
     }
-    if let Some(env) = envelope {
-        flush_cluster(distinct, &cluster, env, plan);
-    }
-}
 
-/// Turns one flushed cluster into a plan unit.
-///
-/// * One member → a plain unit (nothing to share).
-/// * Envelope equals the first member's window (only the first member can:
-///   the sort order gives it the minimum begin and, among equal begins, the
-///   maximum end) → that member covers the rest; the PR 3 containment
-///   shape, counted as `shared_answered`.
-/// * Otherwise → a synthesized envelope unit: every member is a follower,
-///   counted as `envelope_answered`.
-fn flush_cluster(
-    distinct: &[Member],
-    cluster: &[usize],
-    envelope: TimeInterval,
-    plan: &mut BatchPlan,
-) {
-    let first = &distinct[cluster[0]];
-    if cluster.len() == 1 {
-        plan.units.push(PlanUnit {
-            query: first.query,
-            direct: first.indexes.clone(),
-            followers: Vec::new(),
-        });
-        return;
+    /// Always `None`.
+    pub fn observed_profile_density(&self) -> Option<f64> {
+        None
     }
-    let followers = |slots: &[usize]| -> Vec<Follower> {
-        slots
-            .iter()
-            .map(|&slot| Follower {
-                query: distinct[slot].query,
-                indexes: distinct[slot].indexes.clone(),
-            })
-            .collect()
-    };
-    if first.query.window == envelope {
-        plan.units.push(PlanUnit {
-            query: first.query,
-            direct: first.indexes.clone(),
-            followers: followers(&cluster[1..]),
-        });
-        plan.shared_answered += cluster.len() - 1;
-    } else {
-        let query = QuerySpec::new(first.query.source, first.query.target, envelope);
-        debug_assert!(cluster.iter().all(|&slot| query.covers(&distinct[slot].query)));
-        plan.units.push(PlanUnit { query, direct: Vec::new(), followers: followers(cluster) });
-        plan.envelope_answered += cluster.len();
-        plan.envelope_units += 1;
+
+    /// A no-op.
+    pub fn without_profile_cache(self) -> Self {
+        self
+    }
+
+    /// Always `None`; typed as the result cache's stats so a caller's
+    /// `.key_values()` still compiles.
+    pub fn profile_cache_stats(&self) -> Option<CacheStats> {
+        None
     }
 }
 
@@ -581,16 +252,9 @@ mod tests {
         QuerySpec::new(s, t, TimeInterval::new(b, e))
     }
 
-    fn indexed(queries: &[QuerySpec]) -> Vec<(usize, QuerySpec)> {
-        queries.iter().copied().enumerate().collect()
-    }
-
     fn plan_default(queries: &[QuerySpec]) -> BatchPlan {
-        plan(&indexed(queries), &PlannerConfig::default(), None, None)
-    }
-
-    fn plan_containment(queries: &[QuerySpec]) -> BatchPlan {
-        plan(&indexed(queries), &PlannerConfig::containment_only(), None, None)
+        let pending: Vec<(usize, QuerySpec)> = queries.iter().copied().enumerate().collect();
+        plan_batch(&pending)
     }
 
     /// Every batch position must be answered by exactly one plan entry.
@@ -624,19 +288,13 @@ mod tests {
 
     #[test]
     fn contained_windows_attach_to_the_covering_unit() {
-        for plan in [
-            plan_default(&[q(0, 7, 0, 10), q(0, 7, 2, 7), q(0, 7, 3, 5)]),
-            plan_containment(&[q(0, 7, 0, 10), q(0, 7, 2, 7), q(0, 7, 3, 5)]),
-        ] {
-            assert_eq!(plan.num_units(), 1, "both narrower windows share the wide unit");
-            assert_eq!(plan.shared_answered(), 2);
-            assert_eq!(plan.envelope_units(), 0, "containment must not synthesize");
-            let unit = &plan.units()[0];
-            assert_eq!(unit.query, q(0, 7, 0, 10));
-            assert!(!unit.is_envelope());
-            assert_eq!(unit.followers.len(), 2);
-            assert_covers_batch(&plan, 3);
-        }
+        let plan = plan_default(&[q(0, 7, 0, 10), q(0, 7, 2, 7), q(0, 7, 3, 5)]);
+        assert_eq!(plan.num_units(), 1, "both narrower windows share the wide unit");
+        assert_eq!(plan.shared_answered(), 2);
+        let unit = &plan.units()[0];
+        assert_eq!(unit.query, q(0, 7, 0, 10));
+        assert_eq!(unit.followers.len(), 2);
+        assert_covers_batch(&plan, 3);
     }
 
     #[test]
@@ -647,74 +305,15 @@ mod tests {
         assert_eq!(plan.units()[0].query, q(1, 2, 1, 8));
         assert_eq!(plan.units()[0].followers.len(), 2);
         assert_eq!(plan.units()[0].direct, vec![1]);
-        assert_eq!(plan.envelope_units(), 0);
     }
 
     #[test]
     fn overlap_without_containment_stays_separate_in_containment_mode() {
-        let plan = plan_containment(&[q(0, 1, 0, 5), q(0, 1, 3, 8)]);
+        let plan = plan_default(&[q(0, 1, 0, 5), q(0, 1, 3, 8)]);
         assert_eq!(plan.num_units(), 2);
         assert_eq!(plan.shared_answered(), 0);
-        assert_eq!(plan.envelope_answered(), 0);
-    }
-
-    #[test]
-    fn overlapping_windows_collapse_into_a_synthesized_envelope() {
-        let plan = plan_default(&[q(0, 1, 0, 5), q(0, 1, 3, 8)]);
-        assert_eq!(plan.num_units(), 1);
-        assert_eq!(plan.envelope_units(), 1);
-        assert_eq!(plan.envelope_answered(), 2);
-        assert_eq!(plan.shared_answered(), 0);
-        let unit = &plan.units()[0];
-        assert!(unit.is_envelope());
-        assert_eq!(unit.query, q(0, 1, 0, 8), "envelope is [min begin, max end]");
-        assert!(unit.direct.is_empty());
-        assert_eq!(unit.followers.len(), 2);
-        assert_covers_batch(&plan, 2);
-    }
-
-    #[test]
-    fn adversarial_overlap_chain_respects_the_cost_guard() {
-        // [0,5], [3,8], [6,12]: the full envelope [0,12] spans 13 ≤ 2×7, so
-        // the default guard (k = 2) merges the whole chain into one
-        // synthesized unit.
-        let queries = [q(0, 1, 0, 5), q(0, 1, 3, 8), q(0, 1, 6, 12)];
-        let merged = plan_default(&queries);
-        assert_eq!(merged.num_units(), 1);
-        assert_eq!(merged.envelope_units(), 1);
-        assert_eq!(merged.envelope_answered(), 3);
-        assert_eq!(merged.units()[0].query, q(0, 1, 0, 12));
-        assert_covers_batch(&merged, 3);
-
-        // A tighter guard splits the chain: [0,8] (span 9 ≤ 1.5×6) absorbs
-        // the first two, but growing to [0,12] (span 13 > 1.5×7) is vetoed,
-        // so [6,12] stays its own plain unit.
-        let tight = plan(&indexed(&queries), &PlannerConfig::with_span_factor(1.5), None, None);
-        assert_eq!(tight.num_units(), 2);
-        assert_eq!(tight.envelope_units(), 1);
-        assert_eq!(tight.envelope_answered(), 2);
-        assert_eq!(tight.units()[0].query, q(0, 1, 0, 8));
-        assert_eq!(tight.units()[1].query, q(0, 1, 6, 12));
-        assert!(!tight.units()[1].is_envelope());
-        assert_covers_batch(&tight, 3);
-    }
-
-    #[test]
-    fn span_factor_one_degenerates_to_containment_only() {
-        let queries = [q(0, 1, 0, 5), q(0, 1, 3, 8), q(0, 1, 1, 4)];
-        let strict = plan(&indexed(&queries), &PlannerConfig::with_span_factor(1.0), None, None);
-        let containment = plan_containment(&queries);
-        assert_eq!(strict.num_units(), containment.num_units());
-        assert_eq!(strict.envelope_units(), 0);
-        assert_eq!(strict.shared_answered(), containment.shared_answered());
-    }
-
-    #[test]
-    fn degenerate_span_factors_clamp_to_the_conservative_end() {
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -3.0] {
-            assert_eq!(PlannerConfig::with_span_factor(bad).envelope_span_factor, 1.0, "{bad}");
-        }
-        assert_eq!(PlannerConfig::with_span_factor(2.5).envelope_span_factor, 2.5);
+        assert_eq!(plan.units()[0].query, q(0, 1, 0, 5));
+        assert_eq!(plan.units()[1].query, q(0, 1, 3, 8));
     }
 
     #[test]
@@ -722,38 +321,33 @@ mod tests {
         let queries = [
             q(0, 1, 0, 10),  // covers the next one
             q(0, 1, 2, 5),   // nested -> follower of [0,10]
-            q(0, 1, 8, 15),  // overlaps [0,10] -> envelope [0,15] (span 16 ≤ 2×11)
+            q(0, 1, 8, 15),  // overlaps [0,10] -> own unit
+            q(0, 1, 9, 12),  // nested in [8,15] only -> its follower
             q(0, 1, 40, 45), // disjoint -> own unit
             q(2, 3, 0, 10),  // different endpoints -> own unit
         ];
         let plan = plan_default(&queries);
-        assert_eq!(plan.num_units(), 3);
-        assert_eq!(plan.envelope_units(), 1);
-        assert_eq!(plan.envelope_answered(), 3);
-        assert_eq!(plan.shared_answered(), 0, "the nested window rides the envelope too");
-        let envelope = &plan.units()[0];
-        assert_eq!(envelope.query, q(0, 1, 0, 15));
-        assert!(envelope.is_envelope());
-        assert_eq!(envelope.followers.len(), 3);
-        assert_covers_batch(&plan, 5);
-    }
-
-    #[test]
-    fn adjacent_windows_merge_into_an_envelope() {
-        // [0,5] and [6,12] are disjoint but adjacent: their union covers
-        // every timestamp of [0,12], so they are mergeable (guard: span 13
-        // ≤ 2 × 7).
-        let plan = plan_default(&[q(0, 1, 0, 5), q(0, 1, 6, 12)]);
-        assert_eq!(plan.num_units(), 1);
-        assert_eq!(plan.units()[0].query, q(0, 1, 0, 12));
-        assert_eq!(plan.envelope_answered(), 2);
+        assert_eq!(plan.num_units(), 4);
+        assert_eq!(plan.shared_answered(), 2);
+        let units: Vec<(QuerySpec, usize)> =
+            plan.units().iter().map(|u| (u.query, u.followers.len())).collect();
+        assert_eq!(
+            units,
+            vec![
+                (q(0, 1, 0, 10), 1),
+                (q(0, 1, 8, 15), 1),
+                (q(0, 1, 40, 45), 0),
+                (q(2, 3, 0, 10), 0)
+            ]
+        );
+        assert_covers_batch(&plan, 6);
     }
 
     #[test]
     fn gapped_windows_never_merge() {
         let plan = plan_default(&[q(0, 1, 0, 5), q(0, 1, 7, 12)]);
         assert_eq!(plan.num_units(), 2);
-        assert_eq!(plan.envelope_units(), 0);
+        assert_eq!(plan.shared_answered(), 0);
     }
 
     #[test]
@@ -761,7 +355,6 @@ mod tests {
         let plan = plan_default(&[q(0, 1, 0, 10), q(1, 0, 2, 7), q(0, 2, 2, 7)]);
         assert_eq!(plan.num_units(), 3);
         assert_eq!(plan.shared_answered(), 0);
-        assert_eq!(plan.envelope_answered(), 0);
     }
 
     #[test]
@@ -774,20 +367,11 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_envelope_members_count_once_as_envelope_answered() {
-        let plan = plan_default(&[q(0, 1, 0, 5), q(0, 1, 3, 8), q(0, 1, 3, 8)]);
-        assert_eq!(plan.num_units(), 1);
-        assert_eq!(plan.dedup_answered(), 1);
-        assert_eq!(plan.envelope_answered(), 2);
-        assert_covers_batch(&plan, 3);
-    }
-
-    #[test]
     fn equal_begin_prefers_the_wider_window_as_unit() {
         let plan = plan_default(&[q(0, 1, 2, 5), q(0, 1, 2, 9)]);
         assert_eq!(plan.num_units(), 1);
         assert_eq!(plan.units()[0].query, q(0, 1, 2, 9));
-        assert!(!plan.units()[0].is_envelope(), "[2,9] covers [2,5]: no synthesis needed");
+        assert_eq!(plan.units()[0].direct, vec![1]);
         assert_eq!(plan.units()[0].followers[0].query, q(0, 1, 2, 5));
     }
 
@@ -796,34 +380,25 @@ mod tests {
         let plan = plan_default(&[q(5, 6, 1, 2), q(3, 4, 1, 2), q(1, 2, 1, 2)]);
         let firsts: Vec<usize> = plan.units().iter().map(|u| u.direct[0]).collect();
         assert_eq!(firsts, vec![0, 1, 2]);
-        // Envelope units order by their earliest follower.
-        let plan = plan_default(&[q(5, 6, 1, 9), q(3, 4, 1, 2), q(5, 6, 4, 12)]);
+        // A unit whose follower was asked first orders by that follower.
+        let plan = plan_default(&[q(5, 6, 4, 6), q(3, 4, 1, 2), q(5, 6, 1, 9)]);
         assert_eq!(plan.num_units(), 2);
-        assert!(plan.units()[0].is_envelope());
+        assert_eq!(plan.units()[0].query, q(5, 6, 1, 9));
         assert_eq!(plan.units()[0].followers[0].indexes, vec![0]);
         assert_eq!(plan.units()[1].direct, vec![1]);
     }
 
     #[test]
-    fn extreme_windows_do_not_overflow_the_cost_guard() {
-        // Spans saturate; the guard arithmetic must stay finite and the
-        // sweep must not panic.
+    fn extreme_windows_plan_by_containment() {
+        // Saturating spans must not matter: [MIN, 0] and [-5, MAX] overlap
+        // without containment and stay separate units, while [MAX-1, MAX]
+        // is contained in [-5, MAX] and attaches as a follower.
         let queries =
             [q(0, 1, i64::MIN, 0), q(0, 1, -5, i64::MAX), q(0, 1, i64::MAX - 1, i64::MAX)];
         let plan = plan_default(&queries);
+        assert_eq!(plan.num_units(), 2);
+        assert_eq!(plan.shared_answered(), 1);
         assert_covers_batch(&plan, 3);
-        assert!(plan.num_units() >= 1);
-        // Saturated spans satisfy `hull.span <= 1 x widest` even when the
-        // hull grew, so containment-only mode must refuse the hull-growing
-        // merge structurally, never synthesizing an envelope: [MIN, 0] and
-        // [-5, MAX] stay separate units, while [MAX-1, MAX] is genuinely
-        // contained in [-5, MAX] and attaches as a plain follower.
-        let containment = plan_containment(&queries);
-        assert_eq!(containment.envelope_units(), 0);
-        assert_eq!(containment.envelope_answered(), 0);
-        assert_eq!(containment.num_units(), 2);
-        assert_eq!(containment.shared_answered(), 1);
-        assert_covers_batch(&containment, 3);
     }
 
     #[test]
@@ -832,169 +407,6 @@ mod tests {
         assert_eq!(plan.num_units(), 0);
         assert_eq!(plan.planned_queries(), 0);
         assert_eq!(plan.dedup_answered(), 0);
-        assert_eq!(plan.envelope_units(), 0);
-        assert!(plan.profile_groups().is_empty());
-        assert_eq!(plan.profile_answered(), 0);
-    }
-
-    #[test]
-    fn same_source_same_begin_units_form_a_profile_group() {
-        // Three targets fanned out from source 0, same window: one group.
-        let queries = [q(0, 1, 2, 7), q(0, 2, 2, 7), q(0, 3, 2, 7), q(5, 6, 2, 7)];
-        let plan = plan_default(&queries);
-        assert_eq!(plan.num_units(), 4);
-        assert_eq!(plan.profile_groups().len(), 1);
-        let group = &plan.profile_groups()[0];
-        assert_eq!(group.source, 0);
-        assert_eq!(group.window, TimeInterval::new(2, 7));
-        assert_eq!(group.units.len(), 3);
-        assert_eq!(plan.profile_answered(), 3);
-        for &index in &group.units {
-            assert_eq!(plan.unit_profile_group_index(index), Some(0));
-            assert!(std::ptr::eq(plan.unit_profile_group(index).unwrap(), group));
-        }
-        // The (5, 6) unit is ungrouped (a single-unit bucket shares nothing).
-        let lone = (0..plan.num_units())
-            .find(|&i| plan.units()[i].query.source == 5)
-            .expect("unit exists");
-        assert_eq!(plan.unit_profile_group_index(lone), None);
-    }
-
-    #[test]
-    fn profile_hulls_absorb_same_begin_ends_within_the_span_factor() {
-        // Same source and begin, ends 9 / 7 / 5: hull [2, 9] (span 8) holds
-        // [2, 7] (span 6, 8 <= 2x6) and [2, 5] (span 4, 8 <= 2x4).
-        let queries = [q(0, 1, 2, 9), q(0, 2, 2, 7), q(0, 3, 2, 5)];
-        let plan = plan_default(&queries);
-        assert_eq!(plan.profile_groups().len(), 1);
-        assert_eq!(plan.profile_groups()[0].window, TimeInterval::new(2, 9));
-        assert_eq!(plan.profile_groups()[0].units.len(), 3);
-
-        // A far narrower member is guarded out: [2, 2] (span 1) would need
-        // the hull span 8 <= 2x1 — it stays ungrouped.
-        let queries = [q(0, 1, 2, 9), q(0, 2, 2, 7), q(0, 3, 2, 2)];
-        let plan = plan_default(&queries);
-        assert_eq!(plan.profile_groups().len(), 1);
-        assert_eq!(plan.profile_groups()[0].units.len(), 2);
-        assert_eq!(plan.profile_answered(), 2);
-    }
-
-    #[test]
-    fn guarded_out_units_cascade_into_their_own_group() {
-        // Ends 9, 8 cluster under hull [0, 9]; ends 2, 1 fail its guard but
-        // form their own hull [0, 2].
-        let queries = [q(0, 1, 0, 9), q(0, 2, 0, 8), q(0, 3, 0, 2), q(0, 4, 0, 1)];
-        let plan = plan_default(&queries);
-        assert_eq!(plan.profile_groups().len(), 2);
-        assert_eq!(plan.profile_groups()[0].window, TimeInterval::new(0, 9));
-        assert_eq!(plan.profile_groups()[1].window, TimeInterval::new(0, 2));
-        assert_eq!(plan.profile_answered(), 4);
-    }
-
-    #[test]
-    fn mixed_begins_share_a_profile_group_but_sources_never_do() {
-        // Begins 2 and 3 hull to [2, 7] (span 6 ≤ 2 × 5) — the cross-begin
-        // sharing PR 5 could not do. The source-1 unit stays alone.
-        let plan = plan_default(&[q(0, 1, 2, 7), q(0, 2, 3, 7), q(1, 2, 2, 7)]);
-        assert_eq!(plan.profile_groups().len(), 1);
-        let group = &plan.profile_groups()[0];
-        assert_eq!(group.source, 0);
-        assert_eq!(group.window, TimeInterval::new(2, 7));
-        assert_eq!(group.units.len(), 2);
-        assert_eq!(plan.profile_answered(), 2);
-    }
-
-    #[test]
-    fn cross_begin_hulls_respect_every_members_span_guard() {
-        // [2, 9] (span 8) and [5, 7] (span 3): the hull [2, 9] would charge
-        // the narrow window 8 > 2 × 3 — guarded out, no group.
-        let plan = plan_default(&[q(0, 1, 2, 9), q(0, 2, 5, 7)]);
-        assert!(plan.profile_groups().is_empty());
-        // Widening must never betray a member already admitted: [5, 8]
-        // (span 4) absorbs [2, 8] (hull span 7 ≤ 2 × 4), but [5, 7]
-        // (span 3) is then checked against that *widened* hull — 7 > 2 × 3
-        // — and stays out, even though it fit the original [5, 8].
-        let plan = plan_default(&[q(0, 1, 5, 8), q(0, 2, 2, 8), q(0, 3, 5, 7)]);
-        assert_eq!(plan.profile_groups().len(), 1, "{:?}", plan.profile_groups());
-        assert_eq!(plan.profile_groups()[0].window, TimeInterval::new(2, 8));
-        assert_eq!(plan.profile_groups()[0].units.len(), 2);
-    }
-
-    #[test]
-    fn profile_sharing_can_be_disabled() {
-        let queries = [q(0, 1, 2, 7), q(0, 2, 2, 7)];
-        let plan = super::plan(
-            &indexed(&queries),
-            &PlannerConfig::default().without_profile_sharing(),
-            None,
-            None,
-        );
-        assert!(plan.profile_groups().is_empty());
-        assert_eq!(plan.num_units(), 2, "unit planning is unchanged");
-    }
-
-    #[test]
-    fn profile_groups_span_envelope_and_containment_units() {
-        // Same source 0, same begin: an envelope unit ([1,5] ∪ [3,8] → [1,8]
-        // ... begins differ there, so use same-begin shapes) — here a
-        // covering unit with a follower plus a plain unit on another target.
-        let queries = [q(0, 1, 2, 9), q(0, 1, 3, 5), q(0, 2, 2, 8)];
-        let plan = plan_default(&queries);
-        assert_eq!(plan.num_units(), 2);
-        assert_eq!(plan.profile_groups().len(), 1);
-        // profile_answered counts the covering unit's direct slot, its
-        // follower, and the other unit's direct slot.
-        assert_eq!(plan.profile_answered(), 3);
-    }
-
-    #[test]
-    fn dense_observations_disable_envelope_synthesis() {
-        let queries = [q(0, 1, 0, 5), q(0, 1, 3, 8)];
-        let config = PlannerConfig::default();
-        // Below the cutoff (or no observation): the overlap still merges.
-        for observed in [None, Some(0.5), Some(DEFAULT_ENVELOPE_DENSITY_CUTOFF)] {
-            let plan = super::plan(&indexed(&queries), &config, observed, None);
-            assert_eq!(plan.envelope_units(), 1, "observed={observed:?}");
-        }
-        // Above the cutoff: containment-only behaviour for this batch.
-        let plan = super::plan(&indexed(&queries), &config, Some(0.9), None);
-        assert_eq!(plan.envelope_units(), 0);
-        assert_eq!(plan.num_units(), 2);
-        // A cutoff >= 1 can never trip (the ratio is bounded by 1).
-        let relaxed = config.with_density_cutoff(1.0);
-        let plan = super::plan(&indexed(&queries), &relaxed, Some(1.0), None);
-        assert_eq!(plan.envelope_units(), 1);
-        // Degenerate cutoffs clamp to the conservative end (always dense).
-        for bad in [f64::NAN, f64::NEG_INFINITY, -2.0] {
-            assert_eq!(config.with_density_cutoff(bad).envelope_density_cutoff, 0.0, "{bad}");
-        }
-        let plan =
-            super::plan(&indexed(&queries), &config.with_density_cutoff(0.0), Some(0.01), None);
-        assert_eq!(plan.envelope_units(), 0);
-    }
-
-    #[test]
-    fn dense_profile_observations_disable_grouping() {
-        let queries = [q(0, 1, 2, 7), q(0, 2, 3, 7)];
-        let config = PlannerConfig::default();
-        // Below the cutoff (or no observation): the fan-out still groups.
-        for observed in [None, Some(0.5), Some(DEFAULT_PROFILE_DENSITY_CUTOFF)] {
-            let plan = super::plan(&indexed(&queries), &config, None, observed);
-            assert_eq!(plan.profile_groups().len(), 1, "observed={observed:?}");
-        }
-        // Above the cutoff: grouping is pure overhead on dense graphs.
-        let plan = super::plan(&indexed(&queries), &config, None, Some(0.9));
-        assert!(plan.profile_groups().is_empty());
-        assert_eq!(plan.num_units(), 2, "unit planning is unchanged");
-        // The envelope density signal does not gate profile grouping.
-        let plan = super::plan(&indexed(&queries), &config, Some(0.9), None);
-        assert_eq!(plan.profile_groups().len(), 1);
-        // Degenerate cutoffs clamp to the conservative end (always dense).
-        for bad in [f64::NAN, f64::NEG_INFINITY, -2.0] {
-            assert_eq!(config.with_profile_density_cutoff(bad).profile_density_cutoff, 0.0);
-        }
-        let strict = config.with_profile_density_cutoff(0.0);
-        let plan = super::plan(&indexed(&queries), &strict, None, Some(0.01));
-        assert!(plan.profile_groups().is_empty());
+        assert_eq!(plan.shared_answered(), 0);
     }
 }

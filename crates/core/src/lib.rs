@@ -60,12 +60,9 @@ pub use bidir::{BidirOptions, BidirScratch, BidirSearcher, BidirStats};
 pub use eev::{
     escaped_edges_verification, escaped_edges_verification_with, EevOutcome, EevScratch, EevStats,
 };
-pub use engine::cache::{CacheConfig, CacheStats, ProfileCacheConfig, ProfileCacheStats};
-pub use engine::planner::{
-    BatchPlan, PlannerConfig, ProfileGroup, DEFAULT_ENVELOPE_DENSITY_CUTOFF,
-    DEFAULT_ENVELOPE_SPAN_FACTOR, DEFAULT_PROFILE_DENSITY_CUTOFF,
-};
-pub use engine::{BatchStats, QueryEngine, QueryScratch, QuerySpec};
+pub use engine::cache::{CacheConfig, CacheStats};
+pub use engine::planner::BatchPlan;
+pub use engine::{hardware_threads, BatchStats, QueryEngine, QueryScratch, QuerySpec};
 pub use polarity::{
     compute_polarity, ArrivalProfile, PolarityScratch, PolarityTimes, SourceFrontier,
 };

@@ -181,48 +181,34 @@ fn backward_pass(
     }
 }
 
-/// The **target-agnostic** forward half of the polarity computation,
-/// computed once per source over a group's *hull* window and shared across
-/// every query of that source.
+/// The **target-agnostic** forward half of the polarity computation: the
+/// plain earliest arrival `A₀(u)` from `s` within a window.
 ///
 /// The forward pass of Algorithm 3 depends on the target only through the
-/// "never relax into `t`" tightening. A frontier drops that tightening:
-/// `A₀(u)` is the plain earliest arrival from `s` within the hull window,
-/// so `A₀(u) ≤ A(u)` for every query target. Substituting `A₀` for `A`
-/// admits a *superset* `H` of the edges Lemma 1 admits — a valid candidate
-/// subgraph (`tspG ⊆ G_q ⊆ H ⊆ G`), but **not** a graph the rest of the
-/// pipeline may consume as `G_q`: the EEV rule confirmations (Lemmas 2 and
-/// 10) are proven under `G_q`'s avoid-`t`/avoid-`s` polarity invariants and
-/// can falsely confirm cycle edges of `H` (e.g. an `H`-edge into `t` whose
-/// only "paths" revisit `t`). Consumers therefore treat `H` as an *input
-/// graph* and re-run the exact pipeline on it — `tspG(H) = tspG(G)` by the
-/// Definition-2 containment argument, and `H` is `G_q`-sized, so the rerun
-/// replaces the full-graph forward BFS and `O(m)` edge scan with work
-/// proportional to the query's own neighbourhood.
+/// "never relax into `t`" tightening; a frontier drops it, so `A₀(u) ≤
+/// A(u)` for every query target. No pipeline path consumes a frontier: it
+/// is the reference an [`ArrivalProfile`] clamp must reproduce byte for
+/// byte (`tests/arrival_profile.rs`).
 ///
 /// **Window restriction is exact for same-begin windows.** A strict
 /// temporal path arriving at time `τ` uses only edge times in
 /// `[begin, τ]`, so for any member window `[begin, e]` with the frontier's
 /// begin, clamping (`A₀(u)` kept iff `A₀(u) ≤ e`) yields precisely the
 /// arrivals of a fresh target-agnostic pass over `[begin, e]`. Arbitrary
-/// begins need the step function an [`ArrivalProfile`] records; a profile
-/// clamp materializes exactly this frontier for any member window inside
-/// the hull, which is why the planner groups units by source alone and
-/// hulls their windows.
+/// begins need the step function an [`ArrivalProfile`] records.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SourceFrontier {
     source: VertexId,
     window: TimeInterval,
     /// `A₀(u)` per vertex over the hull window; `None` = unreachable.
     arrival: Vec<Option<Timestamp>>,
-    /// Vertices with a label (including `s` itself), ascending — the scan
-    /// list of the frontier-restricted `G_q` construction.
+    /// Vertices with a label (including `s` itself), ascending.
     reachable: Vec<VertexId>,
 }
 
 impl Default for SourceFrontier {
     /// An empty frontier (no vertex labelled) over the degenerate window
-    /// `[0, 0]` — the rest state of a scratch slot that a profile clamp
+    /// `[0, 0]` — the buffer a profile clamp
     /// ([`ArrivalProfile::clamp_into`]) fills in place.
     fn default() -> Self {
         Self {
@@ -287,48 +273,6 @@ impl SourceFrontier {
     }
 }
 
-/// Frontier-sharing variant of [`compute_polarity_into`]: the forward
-/// labels are *restricted* from the shared [`SourceFrontier`] (an `O(n)`
-/// clamp instead of a BFS) and only the target-dependent backward pass
-/// runs.
-///
-/// The restriction keeps `A₀(u)` iff `A₀(u) ≤ window.end()` — exact for
-/// the frontier's begin (see [`SourceFrontier`]); the resulting tables
-/// admit a superset of [`compute_polarity_into`]'s edges (the frontier does
-/// not avoid the target), which the downstream EEV phase reduces to the
-/// identical tspG.
-///
-/// # Panics
-///
-/// Panics if the frontier does not cover `(s, window)`.
-pub fn compute_polarity_into_with_frontier(
-    graph: &TemporalGraph,
-    s: VertexId,
-    t: VertexId,
-    window: TimeInterval,
-    frontier: &SourceFrontier,
-    times: &mut PolarityTimes,
-    scratch: &mut PolarityScratch,
-) {
-    assert!(
-        frontier.covers(s, window),
-        "frontier over {} from vertex {} cannot answer ({s}, {t}, {window})",
-        frontier.window,
-        frontier.source,
-    );
-    let n = graph.num_vertices();
-    times.departure.clear();
-    times.departure.resize(n, None);
-    times.arrival.clear();
-    if (t as usize) >= n || (s as usize) >= n {
-        times.arrival.resize(n, None);
-        return;
-    }
-    let end = window.end();
-    times.arrival.extend(frontier.arrival.iter().map(|a| a.filter(|&time| time <= end)));
-    backward_pass(graph, s, t, window, &mut times.departure, scratch);
-}
-
 /// A per-source **arrival profile**: earliest arrival at every vertex as a
 /// step function of the query's *start bound*, computed by one
 /// target-agnostic forward pass over a hull window and clamped — exactly —
@@ -349,10 +293,9 @@ pub fn compute_polarity_into_with_frontier(
 /// this is the earliest-arrival-as-function-of-start-bound formulation of
 /// Huang et al.'s temporal traversals.
 ///
-/// The resident representation is a flattened CSR (`starts`/`pairs`,
-/// following the Kairos compact time-indexed-layout direction) so a cached
-/// profile costs three dense arrays, accounted by
-/// [`ArrivalProfile::approx_bytes`] in the engine's profile cache.
+/// The representation is a flattened CSR (`starts`/`pairs`, following the
+/// Kairos compact time-indexed-layout direction): three dense arrays,
+/// sized by [`ArrivalProfile::approx_bytes`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ArrivalProfile {
     source: VertexId,
@@ -455,7 +398,7 @@ impl ArrivalProfile {
         self.source == source && self.window.contains_interval(&window)
     }
 
-    /// Rough heap usage of the flattened profile, for cache accounting.
+    /// Rough heap usage of the flattened profile.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.starts.len() * std::mem::size_of::<u32>()
@@ -472,9 +415,7 @@ impl ArrivalProfile {
 
     /// Clamps the profile at a member `window`, writing a [`SourceFrontier`]
     /// that is byte-identical to `SourceFrontier::compute` over that window
-    /// — for every begin inside the hull. The frontier's own machinery
-    /// (`covers`, `compute_polarity_into_with_frontier`, the candidate-edge
-    /// scan) then applies unchanged.
+    /// — for every begin inside the hull.
     ///
     /// # Panics
     ///
@@ -673,39 +614,6 @@ mod tests {
     }
 
     #[test]
-    fn frontier_polarity_departure_matches_the_direct_pass() {
-        let g = figure1_graph();
-        let (s, t, w) = figure1_query();
-        let frontier = SourceFrontier::compute(&g, s, w);
-        let direct = compute_polarity(&g, s, t, w);
-        let mut times = PolarityTimes::default();
-        let mut scratch = PolarityScratch::default();
-        for end in [5, 7] {
-            let member = TimeInterval::new(2, end);
-            compute_polarity_into_with_frontier(
-                &g,
-                s,
-                t,
-                member,
-                &frontier,
-                &mut times,
-                &mut scratch,
-            );
-            if end == 7 {
-                assert_eq!(times.departure, direct.departure, "backward pass is untouched");
-            }
-            // Every admitted edge of the avoiding pass stays admitted: the
-            // frontier tables bound the exact ones from below.
-            let exact = compute_polarity(&g, s, t, member);
-            for e in g.edges() {
-                if exact.admits_edge(e.src, e.dst, e.time) {
-                    assert!(times.admits_edge(e.src, e.dst, e.time), "{e:?} lost at end={end}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn frontier_covers_checks_source_and_window() {
         let g = figure1_graph();
         let frontier = SourceFrontier::compute(&g, fig1::S, TimeInterval::new(2, 7));
@@ -714,22 +622,6 @@ mod tests {
         assert!(!frontier.covers(fig1::B, TimeInterval::new(2, 7)), "different source");
         assert!(!frontier.covers(fig1::S, TimeInterval::new(3, 7)), "different begin");
         assert!(!frontier.covers(fig1::S, TimeInterval::new(2, 9)), "end beyond the hull");
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot answer")]
-    fn frontier_polarity_rejects_uncovered_windows() {
-        let g = figure1_graph();
-        let frontier = SourceFrontier::compute(&g, fig1::S, TimeInterval::new(2, 5));
-        compute_polarity_into_with_frontier(
-            &g,
-            fig1::S,
-            fig1::T,
-            TimeInterval::new(2, 7),
-            &frontier,
-            &mut PolarityTimes::default(),
-            &mut PolarityScratch::default(),
-        );
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! on at least one strict temporal path from `s` to `t` within the window.
 //! The scan is `O(m)`.
 
-use crate::polarity::{compute_polarity, PolarityTimes, SourceFrontier};
-use tspg_graph::{TemporalEdge, TemporalGraph, TimeInterval, VertexId};
+use crate::polarity::{compute_polarity, PolarityTimes};
+use tspg_graph::{TemporalGraph, TimeInterval, VertexId};
 
 /// Builds `G_q` from precomputed polarity times.
 pub fn quick_upper_bound_graph_from(
@@ -24,46 +24,6 @@ pub fn quick_upper_bound_graph_into(
     out: &mut TemporalGraph,
 ) {
     out.assign_edge_induced(graph, |_, e| polarity.admits_edge(e.src, e.dst, e.time));
-}
-
-/// Frontier-restricted edge gathering for [`quick_upper_bound_graph_into`]:
-/// instead of filtering all `m` edges of the input graph, scan only the
-/// out-edges of the shared frontier's reachable vertices, and fill `buf`
-/// with the admitted edges (grouped by source vertex, unsorted) without
-/// building a graph — the engine compacts them to their induced vertex set
-/// first.
-///
-/// `polarity` must be the tables produced by
-/// [`crate::polarity::compute_polarity_into_with_frontier`] with the same
-/// `frontier` — its arrival labels are a (clamped) subset of the frontier's,
-/// so every admissible edge leaves a frontier-reachable vertex and the
-/// restricted scan loses nothing. The edges are exactly those
-/// [`quick_upper_bound_graph_into`] keeps over the same tables, but the
-/// cost is proportional to the frontier's out-degree sum rather than to
-/// `m` — the per-member win on large graphs whose query windows touch a
-/// sliver of the edge set.
-pub fn frontier_candidate_edges(
-    graph: &TemporalGraph,
-    polarity: &PolarityTimes,
-    frontier: &SourceFrontier,
-    buf: &mut Vec<TemporalEdge>,
-) {
-    buf.clear();
-    for &u in frontier.reachable() {
-        // The member's clamp may have dropped this vertex's label; without
-        // an arrival no out-edge of `u` is admissible (Lemma 1).
-        let Some(reach) = polarity.arrival(u) else { continue };
-        let outs = graph.out_neighbors(u);
-        let from = outs.partition_point(|a| a.time <= reach);
-        for entry in &outs[from..] {
-            // `A(u) < τ` holds by the slice bound; `τ < D(v)` (checked
-            // here) implies `τ ≤ τ_e`, and `τ > A(u) ≥ τ_b − 1` implies
-            // `τ ≥ τ_b`, so no separate window test is needed.
-            if polarity.departure(entry.neighbor).is_some_and(|depart| entry.time < depart) {
-                buf.push(TemporalEdge::new(u, entry.neighbor, entry.time));
-            }
-        }
-    }
 }
 
 /// Computes the polarity times and builds `G_q` in one call.
@@ -138,85 +98,6 @@ mod tests {
         let gq = EdgeSet::from_graph(&quick_upper_bound_graph(&g, s, t, w));
         let dt = EdgeSet::from_graph(&g.project(w));
         assert!(gq.is_subset_of(&dt));
-    }
-
-    #[test]
-    fn frontier_restricted_scan_matches_the_full_scan() {
-        use crate::polarity::{
-            compute_polarity_into_with_frontier, PolarityScratch, SourceFrontier,
-        };
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(17);
-        let mut buf = Vec::new();
-        let mut scratch = PolarityScratch::default();
-        let mut times = PolarityTimes::default();
-        let mut restricted = TemporalGraph::default();
-        let mut full = TemporalGraph::default();
-        for case in 0..25 {
-            let n = rng.random_range(5..30);
-            let edges: Vec<TemporalEdge> = (0..rng.random_range(10..200))
-                .map(|_| {
-                    TemporalEdge::new(
-                        rng.random_range(0..n) as VertexId,
-                        rng.random_range(0..n) as VertexId,
-                        rng.random_range(1..20),
-                    )
-                })
-                .filter(|e| e.src != e.dst)
-                .collect();
-            let g = TemporalGraph::from_edges(n, edges);
-            let s = rng.random_range(0..n) as VertexId;
-            let hull = TimeInterval::new(2, 2 + rng.random_range(4..15));
-            let frontier = SourceFrontier::compute(&g, s, hull);
-            for _ in 0..3 {
-                let t = rng.random_range(0..n) as VertexId;
-                let window = TimeInterval::new(2, rng.random_range(2..=hull.end()));
-                compute_polarity_into_with_frontier(
-                    &g,
-                    s,
-                    t,
-                    window,
-                    &frontier,
-                    &mut times,
-                    &mut scratch,
-                );
-                frontier_candidate_edges(&g, &times, &frontier, &mut buf);
-                restricted.assign_from_edges(g.num_vertices(), &buf);
-                quick_upper_bound_graph_into(&g, &times, &mut full);
-                assert_eq!(
-                    restricted.edges(),
-                    full.edges(),
-                    "case {case}: restricted scan diverged for ({s}, {t}, {window})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn frontier_gq_is_a_superset_of_the_avoiding_gq() {
-        use crate::polarity::{
-            compute_polarity_into_with_frontier, PolarityScratch, SourceFrontier,
-        };
-        let g = figure1_graph();
-        let (s, t, w) = figure1_query();
-        let frontier = SourceFrontier::compute(&g, s, w);
-        let mut times = PolarityTimes::default();
-        let mut buf = Vec::new();
-        let mut gq = TemporalGraph::default();
-        compute_polarity_into_with_frontier(
-            &g,
-            s,
-            t,
-            w,
-            &frontier,
-            &mut times,
-            &mut PolarityScratch::default(),
-        );
-        frontier_candidate_edges(&g, &times, &frontier, &mut buf);
-        gq.assign_from_edges(g.num_vertices(), &buf);
-        let avoiding = EdgeSet::from_graph(&quick_upper_bound_graph(&g, s, t, w));
-        assert!(avoiding.is_subset_of(&EdgeSet::from_graph(&gq)));
     }
 
     #[test]

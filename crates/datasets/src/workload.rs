@@ -10,8 +10,8 @@
 //! derived seed per batch), [`generate_repeated_workload`] (Zipf-skewed
 //! serving traffic with exact repeats and narrowed-window refinements, the
 //! workload shape the engine's result cache and window sharing exploit),
-//! [`generate_fanout_workload`] (same-source bursts, the shape the
-//! planner's profile groups collapse) and a textual query-file format
+//! [`generate_fanout_workload`] (same-source bursts of many targets over
+//! roughly one window) and a textual query-file format
 //! shared with the CLI `batch` subcommand: one `source target begin end`
 //! quadruple per line, `#`/`%` comments (whole-line or trailing) and CRLF
 //! endings accepted — see [`parse_queries`] / [`format_queries`].
@@ -264,15 +264,11 @@ pub fn generate_repeated_workload(
 /// one source vertex, differing in target (and optionally in window end
 /// and window begin).
 ///
-/// This is the serving-traffic shape the planner's *profile groups* exist
-/// for: "where can this account's money have gone in the next hour" /
-/// "which hosts did this machine touch during the incident" expand one hot
-/// source against many candidate targets over roughly the same window. The
-/// forward half of the polarity computation is target-independent, so the
-/// engine computes one arrival profile per burst — but only if the batch
-/// actually contains such bursts, which this generator produces. With
-/// `begin_jitter > 0` the emitted begins differ inside a burst, the shape
-/// per-begin frontier sharing could never group.
+/// This is a common serving-traffic shape: "where can this account's money
+/// have gone in the next hour" / "which hosts did this machine touch during
+/// the incident" expand one hot source against many candidate targets over
+/// roughly the same window. With `begin_jitter > 0` the emitted begins
+/// differ inside a burst.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FanoutWorkloadConfig {
     /// Total number of queries to emit (round-robin across the bursts, so
@@ -288,7 +284,7 @@ pub struct FanoutWorkloadConfig {
     /// Maximum timestamps an emitted query's window begin slides forward
     /// from the burst's base begin (clamped so the window stays valid).
     /// `0` (the [`FanoutWorkloadConfig::new`] default) keeps every begin
-    /// identical — the pre-profile shape.
+    /// identical.
     pub begin_jitter: i64,
 }
 

@@ -31,9 +31,9 @@ pub struct AdjEntry {
 /// whether or not the batch contributed a new edge (callers key caches by
 /// epoch, and a conservative bump is always sound where a missed one is
 /// not). Epochs are totally ordered and never reused, so any state derived
-/// from the graph — cached results, resident arrival profiles, published
-/// tspGs — can be scoped to the epoch it was computed at and becomes
-/// unreachable the moment the graph moves on.
+/// from the graph — cached results, published tspGs — can be scoped to
+/// the epoch it was computed at and becomes unreachable the moment the
+/// graph moves on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GraphEpoch(u64);
 
@@ -314,24 +314,6 @@ impl TemporalGraph {
         self.rebuild_indexes();
     }
 
-    /// In-place rebuild of `self` from an explicit edge list, reusing
-    /// `self`'s existing heap allocations (edge array and both CSR
-    /// indexes). Edges are sorted and de-duplicated, and `num_vertices` is
-    /// grown if any edge references a vertex beyond it — the same
-    /// normalization as [`TemporalGraph::from_edges`], without the fresh
-    /// allocations.
-    ///
-    /// This is the storage primitive behind the engine's frontier-restricted
-    /// `G_q` scan: the admitted edges are gathered per reachable vertex (so
-    /// they arrive grouped by source, not globally time-sorted) and the
-    /// subgraph is rebuilt from that buffer instead of filtering all `m`
-    /// edges of the input graph.
-    pub fn assign_from_edges(&mut self, num_vertices: usize, edges: &[TemporalEdge]) {
-        self.edges.clear();
-        self.edges.extend_from_slice(edges);
-        self.normalize_and_index(num_vertices);
-    }
-
     /// The graph's current [`GraphEpoch`].
     ///
     /// Freshly built graphs (any constructor, including the in-place
@@ -596,36 +578,6 @@ mod tests {
         // Growing back after an empty assignment also works.
         reused.assign_edge_induced(&g, |_, _| true);
         assert_eq!(reused.edges(), g.edges());
-    }
-
-    #[test]
-    fn assign_from_edges_matches_from_edges() {
-        let g = figure1_graph();
-        let mut reused = TemporalGraph::default();
-        // Unsorted input with duplicates, delivered grouped-by-source the
-        // way the frontier-restricted scan gathers admitted edges.
-        let mut edges: Vec<TemporalEdge> = Vec::new();
-        for u in (0..g.num_vertices() as VertexId).rev() {
-            edges.extend(
-                g.out_neighbors(u).iter().map(|a| TemporalEdge::new(u, a.neighbor, a.time)),
-            );
-        }
-        edges.push(edges[0]);
-        reused.assign_from_edges(g.num_vertices(), &edges);
-        assert_eq!(reused.edges(), g.edges());
-        for u in g.vertices() {
-            assert_eq!(reused.out_neighbors(u), g.out_neighbors(u));
-            assert_eq!(reused.in_neighbors(u), g.in_neighbors(u));
-        }
-        // Reassigning smaller, then empty, then growing the vertex range.
-        reused.assign_from_edges(2, &[TemporalEdge::new(0, 1, 5)]);
-        assert_eq!(reused.num_edges(), 1);
-        assert_eq!(reused.num_vertices(), 2);
-        reused.assign_from_edges(3, &[]);
-        assert!(reused.is_empty());
-        assert_eq!(reused.num_vertices(), 3);
-        reused.assign_from_edges(1, &[TemporalEdge::new(4, 2, 1)]);
-        assert_eq!(reused.num_vertices(), 5, "vertex range grows to cover the edges");
     }
 
     #[test]

@@ -52,8 +52,7 @@ impl TimeInterval {
     /// Span `θ = τ_e − τ_b + 1`, saturating at `i64::MAX`.
     ///
     /// Saturation matters: extreme windows such as `[i64::MIN, i64::MAX]`
-    /// are representable (and easy to synthesize once envelope planning
-    /// merges windows), and `end − begin + 1` on them overflows — a panic
+    /// are representable, and `end − begin + 1` on them overflows — a panic
     /// in debug builds and a *negative* span in release builds, which would
     /// silently invert every span comparison built on it.
     #[inline]
@@ -88,7 +87,7 @@ impl TimeInterval {
     /// Returns `true` if the *union* of the two intervals is itself a
     /// single interval over the integer timestamp domain: they overlap or
     /// are adjacent (`[0, 5]` and `[6, 12]` cover every timestamp of
-    /// `[0, 12]`). This is the mergeability test envelope planning uses.
+    /// `[0, 12]`).
     #[inline]
     pub fn union_is_interval(&self, other: &TimeInterval) -> bool {
         self.begin.max(other.begin) <= self.end.min(other.end).saturating_add(1)
@@ -96,7 +95,7 @@ impl TimeInterval {
 
     /// The smallest interval containing both: `[min begin, max end]`.
     ///
-    /// This is the *envelope* (interval hull) of the pair; when
+    /// This is the interval hull of the pair; when
     /// [`TimeInterval::union_is_interval`] holds it equals the exact union.
     #[inline]
     pub fn hull(&self, other: &TimeInterval) -> TimeInterval {

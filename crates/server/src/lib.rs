@@ -4,11 +4,10 @@
 //! graph, one long-lived [`QueryEngine`], many concurrent clients over a
 //! unix domain socket speaking the line-oriented [`protocol`].
 //!
-//! Every engine win since the planner landed — result-cache hits, dedup,
-//! contained-window and envelope sharing, frontier groups — only pays off
-//! *inside a batch* or across batches of a long-lived process. One-shot
-//! CLI invocations get none of it. The server closes that gap with
-//! **admission micro-batching**:
+//! The engine's sharing — result-cache hits, dedup and contained-window
+//! followers — only pays off *inside a batch* or across batches of a
+//! long-lived process. One-shot CLI invocations get none of it. The server
+//! closes that gap with **admission micro-batching**:
 //!
 //! * per-connection **reader threads** parse request lines and enqueue
 //!   them — tagged `(client, request_id)` — on a shared admission queue;
@@ -18,7 +17,7 @@
 //!   [`QueryEngine::run_batch_with_stats`] at once; requests that arrive
 //!   while that batch executes form the next one. A lone request never
 //!   waits for batch-mates, while concurrent strangers' queries still
-//!   land in one batch and share dedup/containment/envelope/profile work;
+//!   land in one batch and share dedup and containment work;
 //! * answers stream back per request on the client's connection, tagged
 //!   with the request id (a client may pipeline up to
 //!   [`ServerConfig::quota`] requests; beyond that it gets tagged
@@ -80,9 +79,7 @@ pub struct ServerConfig {
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        let threads =
-            std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
-        Self { admit_max: 32, quota: 1024, threads }
+        Self { admit_max: 32, quota: 1024, threads: tspg_core::hardware_threads() }
     }
 }
 
@@ -258,11 +255,6 @@ impl Shared {
         push("epoch", engine.epoch().value());
         if let Some(cache) = engine.cache_stats() {
             for (key, value) in cache.key_values() {
-                push(key, value);
-            }
-        }
-        if let Some(profiles) = engine.profile_cache_stats() {
-            for (key, value) in profiles.key_values() {
                 push(key, value);
             }
         }
@@ -601,28 +593,61 @@ fn dispatcher_loop(shared: &Arc<Shared>) {
 /// writes the acknowledgements with the lock released (a slow client write
 /// must not stall queries behind the mutation).
 fn apply_ingests(shared: &Arc<Shared>, batch: Vec<PendingIngest>) {
-    let mut acks: Vec<(Arc<ClientSlot>, u64, u64)> = Vec::with_capacity(batch.len());
+    // Each client's reply: the acknowledgement line, or the reason its
+    // batch was rejected.
+    let mut replies: Vec<(Arc<ClientSlot>, Result<String, String>)> =
+        Vec::with_capacity(batch.len());
     {
         let mut engine = shared.engine.write().unwrap_or_else(PoisonError::into_inner);
         for pending in batch {
+            let vertices = engine.graph().num_vertices();
+            if let Some(vertex) = endpoint_out_of_reach(vertices, &pending.edges) {
+                // relaxed: serving counters are statistics only (see
+                // `stats_text`).
+                shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
+                let message = format!(
+                    "ingest rejected: vertex {vertex} is beyond the {vertices} vertices plus 2 \
+                     per edge a batch of {} edges may add",
+                    pending.edges.len()
+                );
+                replies.push((pending.client, Err(message)));
+                continue;
+            }
             let epoch = engine.ingest(&pending.edges);
             // relaxed: serving counters are statistics only (see
             // `stats_text`).
             shared.counters.ingest_batches.fetch_add(1, Ordering::Relaxed);
             shared.counters.ingest_edges.fetch_add(pending.edges.len() as u64, Ordering::Relaxed);
-            acks.push((pending.client, epoch.value(), pending.edges.len() as u64));
+            let ack = protocol::format_ingested(epoch.value(), pending.edges.len() as u64);
+            replies.push((pending.client, Ok(ack)));
         }
     }
-    for (client, epoch, edges) in acks {
+    for (client, reply) in replies {
         client.in_flight.fetch_sub(1, Ordering::AcqRel);
-        if client.gone.load(Ordering::Acquire)
-            || !client.write_line(&protocol::format_ingested(epoch, edges))
-        {
-            // relaxed: serving counters are statistics only (see
-            // `stats_text`).
-            shared.counters.dropped.fetch_add(1, Ordering::Relaxed);
+        match reply {
+            Ok(ack) => {
+                if client.gone.load(Ordering::Acquire) || !client.write_line(&ack) {
+                    // relaxed: serving counters are statistics only (see
+                    // `stats_text`).
+                    shared.counters.dropped.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            Err(message) => {
+                client.write_line(&protocol::format_error(None, &message));
+            }
         }
     }
+}
+
+/// The largest endpoint of `edges` if it lies beyond what the batch can
+/// name: `E` edges introduce at most `2E` new vertices, so an id at or
+/// above `num_vertices + 2E` would make the graph's CSR grow out of
+/// proportion to the request (a single edge naming vertex 3·10⁹ would
+/// size it for 3·10⁹ vertices).
+fn endpoint_out_of_reach(num_vertices: usize, edges: &[TemporalEdge]) -> Option<u64> {
+    let reach = num_vertices as u64 + 2 * edges.len() as u64;
+    let largest = edges.iter().map(|e| u64::from(e.src.max(e.dst))).max()?;
+    (largest >= reach).then_some(largest)
 }
 
 /// Group commit: parks while the queue is empty, then drains one

@@ -3,7 +3,6 @@
 //! ```text
 //! tspg-server <edge-list> --socket PATH [--admit-max N] [--quota N]
 //!             [--threads N] [--cache-size N] [--no-cache]
-//!             [--profile-cache-size N]
 //! ```
 //!
 //! Loads the edge list once, builds one [`QueryEngine`] and serves the
@@ -16,7 +15,7 @@
 
 use std::collections::HashMap;
 use std::process::ExitCode;
-use tspg_core::{CacheConfig, ProfileCacheConfig, QueryEngine};
+use tspg_core::{CacheConfig, QueryEngine};
 use tspg_graph::io;
 use tspg_server::{Server, ServerConfig};
 
@@ -33,13 +32,11 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:\n  tspg-server <edge-list> --socket PATH [--admit-max N] \
-                     [--quota N]\n              [--threads N] [--cache-size N] [--no-cache] \
-                     [--profile-cache-size N]";
+                     [--quota N]\n              [--threads N] [--cache-size N] [--no-cache]";
 
 /// Every flag `tspg-server` takes a value for; `--no-cache` is the one
 /// switch. Anything else is rejected rather than silently ignored.
-const VALUE_FLAGS: &[&str] =
-    &["socket", "admit-max", "quota", "threads", "cache-size", "profile-cache-size"];
+const VALUE_FLAGS: &[&str] = &["socket", "admit-max", "quota", "threads", "cache-size"];
 
 fn run(args: &[String]) -> Result<(), String> {
     if args.iter().any(|a| a == "--help" || a == "-h" || a == "help") {
@@ -77,11 +74,6 @@ fn run(args: &[String]) -> Result<(), String> {
         None => None,
     };
     let no_cache = flags.contains_key("no-cache") || cache_entries == Some(0);
-    // 0 disables cross-batch profile residency (within-batch sharing stays).
-    let profile_cache_entries: Option<usize> = match flags.get("profile-cache-size") {
-        Some(v) => Some(parse_number(v, "profile cache size")?),
-        None => None,
-    };
 
     let graph = io::read_edge_list_file(graph_path)
         .map_err(|e| format!("cannot read {graph_path}: {e}"))?;
@@ -95,11 +87,6 @@ fn run(args: &[String]) -> Result<(), String> {
         (true, _) => engine.without_cache(),
         (false, Some(entries)) => engine.with_cache(CacheConfig::with_max_entries(entries)),
         (false, None) => engine,
-    };
-    engine = match profile_cache_entries {
-        Some(0) => engine.without_profile_cache(),
-        Some(entries) => engine.with_profile_cache(ProfileCacheConfig::with_max_entries(entries)),
-        None => engine,
     };
 
     let handle =
@@ -162,7 +149,7 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_rejected_before_the_graph_is_read() {
-        for stale in ["--admit-window-ms", "--qouta"] {
+        for stale in ["--admit-window-ms", "--profile-cache-size", "--qouta"] {
             let err = run(&args(&["missing.txt", "--socket", "s.sock", stale, "2"])).unwrap_err();
             assert_eq!(err, format!("unknown flag {stale}"));
         }

@@ -42,8 +42,7 @@ pub mod prelude {
     pub use tspg_baselines::{run_ep, EpAlgorithm};
     pub use tspg_core::{
         generate_tspg, generate_tspg_with, ArrivalProfile, BatchStats, CacheConfig, CacheStats,
-        PlannerConfig, QueryEngine, QueryScratch, QuerySpec, SourceFrontier, VugConfig, VugReport,
-        VugResult,
+        QueryEngine, QueryScratch, QuerySpec, SourceFrontier, VugConfig, VugReport, VugResult,
     };
     pub use tspg_datasets::{
         format_queries, generate_edge_stream, generate_fanout_workload, generate_repeated_workload,

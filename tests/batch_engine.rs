@@ -4,9 +4,9 @@
 //! the PR 2 sequential path (and, through the naive-enumeration anchor, to
 //! exhaustive path enumeration). The deterministic tests pin the
 //! acceptance workloads — a generated 100-query batch, skewed serving
-//! traffic, the issue's adversarial overlap chain, same-source fan-out
-//! bursts and the dense-graph envelope heuristic — while the proptests
-//! sweep random graphs and batches through the full configuration grid.
+//! traffic, an adversarial overlap chain and same-source fan-out bursts —
+//! while the proptests sweep random graphs and batches through the
+//! configuration grid.
 
 mod common;
 
@@ -16,11 +16,11 @@ use common::differential::{
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
-use tspg_suite::core::{CacheConfig, PlannerConfig, QueryEngine, QuerySpec};
+use tspg_suite::core::{CacheConfig, QueryEngine, QuerySpec};
 use tspg_suite::prelude::*;
 
 /// The acceptance-criterion test: a 100-query generated workload, answered
-/// as one batch under the default and the feature-grid configurations,
+/// as one batch under the default configuration,
 /// must return exactly what 100 independent one-shot calls return — same
 /// edge sets, same sizes, same order.
 #[test]
@@ -41,7 +41,7 @@ fn batch_of_100_workload_queries_matches_one_shot_vug() {
     assert_batch_matches_sequential(
         &graph,
         &queries,
-        &[EngineSetup::new("default", PlannerConfig::default()).with_cache(1024)],
+        &[EngineSetup::new("default").with_cache(1024)],
     );
 }
 
@@ -70,9 +70,9 @@ fn skewed_workload_is_answered_with_fewer_pipeline_executions_than_queries() {
 
     assert_eq!(stats.queries, queries.len());
     assert!(
-        stats.pipeline_runs() < queries.len(),
+        stats.executed_units < queries.len(),
         "planning + caching must execute fewer full pipelines ({}) than queries ({})",
-        stats.pipeline_runs(),
+        stats.executed_units,
         queries.len()
     );
     assert!(stats.dedup_answered > 0, "a skewed workload must contain duplicates: {stats:?}");
@@ -114,16 +114,15 @@ proptest! {
         assert_batch_matches_sequential(
             &graph,
             &queries,
-            &[EngineSetup::new("default", PlannerConfig::default()).at_threads(&[1, 3])],
+            &[EngineSetup::new("default").at_threads(&[1, 3])],
         );
     }
 
     /// The planner/cache differential invariant: a batch deliberately
     /// stuffed with exact duplicates and contained windows — the shapes
     /// dedup, window sharing and the cache all fire on — answered through
-    /// the full configuration grid (cached setups twice, so the second
-    /// pass is pure cache) equals PR 2's sequential per-query path, order
-    /// preserved.
+    /// a cached engine (twice, so the second pass is pure cache) equals
+    /// PR 2's sequential per-query path, order preserved.
     #[test]
     fn planned_and_cached_batches_match_the_sequential_path(
         ((graph, base), picks) in (
@@ -150,17 +149,15 @@ proptest! {
         assert_batch_matches_sequential(
             &graph,
             &queries,
-            &[EngineSetup::new("default", PlannerConfig::default())
-                .with_cache(4096)
-                .at_threads(&[3])],
+            &[EngineSetup::new("default").with_cache(4096).at_threads(&[3])],
         );
     }
 
-    /// The envelope differential invariant: overlap chains, nested
-    /// refinements and disjoint windows of a few endpoint pairs — the
-    /// shapes envelope planning clusters, splits on the cost guard, and
-    /// leaves alone — under containment-only, default and near-unbounded
-    /// cost guards, across thread counts that force follower stealing.
+    /// Overlap chains, nested refinements and disjoint windows of a few
+    /// endpoint pairs — overlapping windows that contain no one another
+    /// each run as their own unit, nested ones ride their cover — through
+    /// the configuration grid, across thread counts that force follower
+    /// stealing.
     #[test]
     fn envelope_planned_batches_match_the_sequential_path(
         ((graph, _), shapes) in (
@@ -177,27 +174,13 @@ proptest! {
             let b = begin + slide;
             queries.push(QuerySpec::new(s, t, TimeInterval::new(b, (b + extent).min(9))));
         }
-        let stats = assert_batch_matches_sequential(
-            &graph,
-            &queries,
-            &[
-                EngineSetup::new("containment", PlannerConfig::containment_only()),
-                EngineSetup::new("default", PlannerConfig::default()),
-                EngineSetup::new("greedy", PlannerConfig::with_span_factor(8.0)),
-            ],
-        );
-        // A near-unbounded cost guard merges at least as aggressively as
-        // the default, which merges at least as much as containment-only
-        // (stats come back setup-major: two thread counts per setup).
-        let per_setup: Vec<usize> = stats.chunks(2).map(|c| c[0].pipeline_runs()).collect();
-        prop_assert!(per_setup[2] <= per_setup[1] && per_setup[1] <= per_setup[0]);
+        assert_batch_matches_sequential(&graph, &queries, &EngineSetup::grid());
     }
 
-    /// The profile differential invariant (this PR's tentpole): random
-    /// same-source fan-out batches — bursts of queries sharing a source,
-    /// with jittered begins, stretched ends and interleaved duplicates —
-    /// answered with profile sharing on and off, across 1/4/8 threads,
-    /// all byte-identical to the sequential path.
+    /// Random same-source fan-out batches — bursts of queries sharing a
+    /// source, with jittered begins, stretched ends and interleaved
+    /// duplicates — answered across 1/4/8 threads, all byte-identical to
+    /// the sequential path.
     #[test]
     fn profile_shared_batches_match_the_sequential_path(
         ((graph, _), bursts) in (
@@ -206,10 +189,9 @@ proptest! {
         )
     ) {
         // Each burst tuple is (source, begin, [(target, end stretch,
-        // begin jitter)]): every member query keeps the burst's source —
-        // the grouping key — while its begin slides inside the hull and
-        // its end stretches, so profile clamping at mixed begins and the
-        // span guard are exercised alongside plain same-window fan-outs.
+        // begin jitter)]): every member query keeps the burst's source
+        // while its begin slides and its end stretches, mixing plain
+        // same-window fan-outs with mixed-begin ones.
         let mut queries: Vec<QuerySpec> = Vec::new();
         for &(s, begin, ref members) in &bursts {
             for &(t, stretch, jitter) in members {
@@ -218,30 +200,16 @@ proptest! {
                 queries.push(QuerySpec::new(s, t, TimeInterval::new(b, end)));
             }
         }
-        let stats = assert_batch_matches_sequential(
-            &graph,
-            &queries,
-            &[
-                EngineSetup::new("profiles", PlannerConfig::default()),
-                EngineSetup::new("no-profiles", PlannerConfig::default().without_profile_sharing()),
-            ],
-        );
-        // Sharing is answer-invisible *and* run-count-invisible: the two
-        // setups must plan exactly the same number of pipeline runs.
-        let profile_runs: Vec<usize> = stats[..3].iter().map(|s| s.pipeline_runs()).collect();
-        let plain_runs: Vec<usize> = stats[3..].iter().map(|s| s.pipeline_runs()).collect();
-        prop_assert_eq!(profile_runs, plain_runs);
-        prop_assert!(stats[3..].iter().all(|s| s.profile_groups == 0));
+        assert_batch_matches_sequential(&graph, &queries, &[EngineSetup::new("default")]);
     }
 
 }
 
-/// The adversarial shapes named in PR 4's issue, pinned deterministically:
-/// an overlap chain `[0,5], [3,8], [6,12]` plus mixed nested / overlapping
-/// / disjoint groups, answered with envelope planning across thread counts
-/// that force follower stealing, must equal the sequential path exactly —
-/// and the chain must actually be collapsed by the planner, into fewer
-/// pipeline runs than containment-only planning needs.
+/// Adversarial shapes pinned deterministically: an overlap chain
+/// `[0,5], [3,8], [6,12]` plus mixed nested / overlapping / disjoint
+/// groups, answered across thread counts that force follower stealing,
+/// must equal the sequential path exactly — each chain window runs as its
+/// own unit and the nested window rides its cover.
 #[test]
 fn envelope_overlap_chains_and_mixed_groups_match_sequential() {
     let spec = registry().into_iter().next().expect("registry has datasets");
@@ -276,56 +244,30 @@ fn envelope_overlap_chains_and_mixed_groups_match_sequential() {
     let stats = assert_batch_matches_sequential(
         &graph,
         &queries,
-        &[
-            EngineSetup::new("default", PlannerConfig::default()).at_threads(&threads),
-            EngineSetup::new("containment", PlannerConfig::containment_only()).at_threads(&threads),
-        ],
+        &[EngineSetup::new("default").at_threads(&threads)],
     );
-    let (enveloped, containment) = stats.split_at(threads.len());
-    for (stats, containment) in enveloped.iter().zip(containment) {
-        assert!(stats.envelope_units >= 1, "the chain must be enveloped: {stats:?}");
-        assert_eq!(stats.envelope_answered, 3, "{stats:?}");
+    for stats in &stats {
+        assert_eq!(stats.executed_units, 5, "{stats:?}");
         assert_eq!(stats.shared_answered, 1, "{stats:?}");
         assert_eq!(stats.dedup_answered, 1, "{stats:?}");
         assert_eq!(stats.degenerate, 1, "{stats:?}");
-        assert!(
-            stats.pipeline_runs() < containment.pipeline_runs(),
-            "envelopes must run fewer pipelines than containment-only: \
-             {stats:?} vs {containment:?}"
-        );
     }
 }
 
-/// Deterministic fan-out acceptance: a generated same-source fan-out
-/// workload forms profile groups, the overlay counters stay within their
-/// bounds, and every answer matches the sequential path whether sharing is
-/// on or off.
+/// Deterministic fan-out acceptance: every answer of a generated
+/// same-source fan-out workload matches the sequential path, with the
+/// result cache off and on.
 #[test]
 fn fanout_workloads_share_profiles_and_match_sequential() {
     let graph = GraphGenerator::uniform(80, 900, 40).generate(0x12);
     let cfg = FanoutWorkloadConfig::new(48, 6, 8);
     let queries = generate_fanout_workload(&graph, &cfg, 11).expect("workload");
-    let stats = assert_batch_matches_sequential(
-        &graph,
-        &queries,
-        &[
-            EngineSetup::new("profiles", PlannerConfig::default()),
-            EngineSetup::new("no-profiles", PlannerConfig::default().without_profile_sharing()),
-        ],
-    );
-    assert!(
-        stats[0].profile_groups >= 1,
-        "a fan-out workload must form profile groups: {:?}",
-        stats[0]
-    );
-    assert!(stats[0].profile_answered >= 2 * stats[0].profile_groups, "{:?}", stats[0]);
+    assert_batch_matches_sequential(&graph, &queries, &EngineSetup::grid());
 }
 
-/// Mixed-begin fan-out acceptance (this PR's tentpole shape): the same
-/// workload with jittered window begins — where PR 5's begin-anchored
-/// grouping found nothing — still forms profile groups, because an
-/// arrival profile clamps to any begin inside the hull. Answers stay
-/// byte-identical to the sequential path with sharing on and off.
+/// Mixed-begin fan-out acceptance: the same workload with jittered window
+/// begins stays byte-identical to the sequential path, with the result
+/// cache off and on.
 #[test]
 fn jittered_fanout_workloads_share_profiles_and_match_sequential() {
     let graph = GraphGenerator::uniform(80, 900, 40).generate(0x12);
@@ -333,77 +275,5 @@ fn jittered_fanout_workloads_share_profiles_and_match_sequential() {
     let queries = generate_fanout_workload(&graph, &cfg, 11).expect("workload");
     let begins: std::collections::HashSet<i64> = queries.iter().map(|q| q.window.begin()).collect();
     assert!(begins.len() > 1, "the jitter must actually mix begins");
-    let stats = assert_batch_matches_sequential(
-        &graph,
-        &queries,
-        &[
-            EngineSetup::new("profiles", PlannerConfig::default()),
-            EngineSetup::new("no-profiles", PlannerConfig::default().without_profile_sharing()),
-        ],
-    );
-    assert!(
-        stats[0].profile_groups >= 1,
-        "a mixed-begin fan-out workload must form profile groups: {:?}",
-        stats[0]
-    );
-    assert!(stats[0].profile_answered >= 2 * stats[0].profile_groups, "{:?}", stats[0]);
-}
-
-/// The dense-graph envelope heuristic (ROADMAP item): on a dense registry
-/// miniature, an engine that has observed the tspG/graph density stops
-/// synthesizing envelope units, and its pipeline-run count is no worse
-/// than containment-only planning — while answers stay byte-identical.
-#[test]
-fn dense_registry_miniature_trips_the_envelope_density_heuristic() {
-    // The registry's tiny datasets are deliberately dense miniatures;
-    // wide windows make every tspG cover a large share of the graph.
-    let spec = registry().into_iter().next().expect("registry has datasets");
-    let graph = spec.generate(Scale::tiny(), 0xfeed);
-    let base = generate_workload(&graph, 4, 12, 21).expect("workload");
-    // Overlap chains on the sampled pairs: the shape envelope synthesis
-    // would collapse if the density heuristic did not veto it.
-    let mut queries = Vec::new();
-    for q in &base {
-        let w = q.window;
-        queries.push(QuerySpec::new(q.source, q.target, w));
-        let slide = (w.span() / 2).max(1);
-        let begin = w.begin() + slide;
-        queries.push(QuerySpec::new(
-            q.source,
-            q.target,
-            TimeInterval::new(begin, begin + w.span() - 1),
-        ));
-    }
-
-    let cutoff = 0.5;
-    let adaptive = QueryEngine::new(graph.clone())
-        .without_cache()
-        .with_planner(PlannerConfig::default().with_density_cutoff(cutoff));
-    // Priming batch: no density signal yet, envelopes may synthesize.
-    let (_, cold) = adaptive.run_batch_with_stats(&queries, 2);
-    assert!(cold.envelope_units >= 1, "the chains must envelope on a fresh engine: {cold:?}");
-    let observed = adaptive.observed_density().expect("primed engine has a signal");
-    assert!(
-        observed > cutoff,
-        "the registry miniature must be dense (observed {observed:.2} <= {cutoff})"
-    );
-
-    // Warm batch: the heuristic vetoes synthesis; run count must be no
-    // worse than explicit containment-only planning on the same batch.
-    let (warm_results, warm) = adaptive.run_batch_with_stats(&queries, 2);
-    assert_eq!(warm.envelope_units, 0, "dense signal must disable synthesis: {warm:?}");
-    let containment = QueryEngine::new(graph.clone())
-        .without_cache()
-        .with_planner(PlannerConfig::containment_only());
-    let (_, baseline) = containment.run_batch_with_stats(&queries, 2);
-    assert!(
-        warm.pipeline_runs() <= baseline.pipeline_runs(),
-        "adaptive planning must not run more pipelines ({}) than containment-only ({})",
-        warm.pipeline_runs(),
-        baseline.pipeline_runs()
-    );
-    let sequential = sequential_results(&graph, &queries);
-    for (i, (a, b)) in sequential.iter().zip(warm_results.iter()).enumerate() {
-        assert_eq!(a.tspg, b.tspg, "query #{i} diverged under the density heuristic");
-    }
+    assert_batch_matches_sequential(&graph, &queries, &EngineSetup::grid());
 }

@@ -10,7 +10,7 @@
 //! (one raw pipeline execution per query, no planner, no cache). It also
 //! asserts the [`BatchStats`] bookkeeping invariants on every run and
 //! returns the collected stats so callers can pin feature-specific
-//! expectations (cache hits, envelope counts, profile groups) on top.
+//! expectations (cache hits, shared answers) on top.
 
 // Each test binary compiles this module independently and uses a different
 // subset of the helpers.
@@ -24,23 +24,20 @@ use tspg_suite::prelude::*;
 pub struct EngineSetup {
     /// Shown in every assertion message.
     pub label: String,
-    /// Planner policy of the engine under test.
-    pub planner: PlannerConfig,
     /// Result-cache bound, or `None` for a cache-less engine.
     pub cache: Option<CacheConfig>,
     /// Worker-thread counts the batch is answered at (each on a fresh
     /// engine, so thread counts never see each other's cache state).
     pub threads: Vec<usize>,
     /// Times the same batch is replayed through one engine; passes beyond
-    /// the first exercise the warm result cache and the planner's density
-    /// feedback.
+    /// the first exercise the warm result cache.
     pub passes: usize,
 }
 
 impl EngineSetup {
     /// A cache-less setup answering at 1, 4 and 8 worker threads.
-    pub fn new(label: impl Into<String>, planner: PlannerConfig) -> Self {
-        Self { label: label.into(), planner, cache: None, threads: vec![1, 4, 8], passes: 1 }
+    pub fn new(label: impl Into<String>) -> Self {
+        Self { label: label.into(), cache: None, threads: vec![1, 4, 8], passes: 1 }
     }
 
     /// Adds a result cache and a second (warm) pass.
@@ -56,29 +53,11 @@ impl EngineSetup {
         self
     }
 
-    /// The full planner-feature grid crossed with cache on/off: every
-    /// combination of `envelopes` × `profile_sharing` × cache, the
-    /// configuration space the `BatchStats` invariants must hold over.
+    /// The engine's configuration grid: result cache off and on, each at
+    /// the default thread counts — the configuration space the
+    /// `BatchStats` invariants must hold over.
     pub fn grid() -> Vec<EngineSetup> {
-        let mut setups = Vec::new();
-        for (env_label, base) in [
-            ("envelopes", PlannerConfig::default()),
-            ("containment", PlannerConfig::containment_only()),
-        ] {
-            for (profile_label, planner) in
-                [("profiles", base), ("no-profiles", base.without_profile_sharing())]
-            {
-                for cached in [false, true] {
-                    let label = format!(
-                        "{env_label}/{profile_label}/{}",
-                        if cached { "cache" } else { "no-cache" }
-                    );
-                    let setup = EngineSetup::new(label, planner);
-                    setups.push(if cached { setup.with_cache(4096) } else { setup });
-                }
-            }
-        }
-        setups
+        vec![EngineSetup::new("no-cache"), EngineSetup::new("cache").with_cache(4096)]
     }
 }
 
@@ -94,17 +73,13 @@ pub fn sequential_results(graph: &TemporalGraph, queries: &[QuerySpec]) -> Vec<V
 /// The [`BatchStats`] bookkeeping invariants that hold for *every* batch,
 /// regardless of planner configuration:
 ///
-/// * the six answer buckets partition the batch (each query is answered
+/// * the five answer buckets partition the batch (each query is answered
 ///   exactly one way);
-/// * planning never runs more full-graph pipelines than there are queries;
-/// * the profile overlay counters stay within their bounds (`answered ≤
-///   queries`, and sharing implies ≥ 2 member runs per group, i.e.
-///   `2 × profile_groups ≤ pipeline_runs`).
+/// * planning never runs more full-graph pipelines than there are queries.
 pub fn assert_stats_invariants(stats: &BatchStats) {
     assert_eq!(
         stats.executed_units
             + stats.shared_answered
-            + stats.envelope_answered
             + stats.dedup_answered
             + stats.cache_hits
             + stats.degenerate,
@@ -112,13 +87,8 @@ pub fn assert_stats_invariants(stats: &BatchStats) {
         "every query is answered exactly one way: {stats:?}"
     );
     assert!(
-        stats.pipeline_runs() <= stats.queries,
+        stats.executed_units <= stats.queries,
         "planning must never add net pipeline runs: {stats:?}"
-    );
-    assert!(stats.profile_answered <= stats.queries, "overlay bound: {stats:?}");
-    assert!(
-        stats.profile_groups * 2 <= stats.pipeline_runs(),
-        "every profile group shares across at least two member runs: {stats:?}"
     );
 }
 
@@ -135,8 +105,8 @@ pub fn assert_batch_matches_sequential(
     let mut collected = Vec::new();
     for setup in setups {
         for &threads in &setup.threads {
-            let mut engine = QueryEngine::new(graph.clone()).with_planner(setup.planner);
-            engine = match setup.cache {
+            let engine = QueryEngine::new(graph.clone());
+            let engine = match setup.cache {
                 Some(cache) => engine.with_cache(cache),
                 None => engine.without_cache(),
             };
@@ -152,8 +122,7 @@ pub fn assert_batch_matches_sequential(
                 assert_stats_invariants(&stats);
                 if setup.cache.is_some() && pass > 0 {
                     assert_eq!(
-                        stats.pipeline_runs(),
-                        0,
+                        stats.executed_units, 0,
                         "[{}] threads={threads} pass={pass}: a replayed batch must be answered \
                          from the cache: {stats:?}",
                         setup.label

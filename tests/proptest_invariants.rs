@@ -36,7 +36,7 @@ proptest! {
 
     /// The headline invariant, through the differential harness: naive
     /// enumeration == the sequential engine path == the one-shot pipeline
-    /// == the planned batch engine (with and without frontier sharing).
+    /// == the planned batch engine.
     #[test]
     fn vug_equals_naive_enumeration((graph, s, t, window) in graph_and_query()) {
         let query = Query::new(s, t, window);
@@ -48,7 +48,7 @@ proptest! {
         assert_batch_matches_sequential(
             &graph,
             &[query],
-            &[EngineSetup::new("default", PlannerConfig::default()).at_threads(&[1])],
+            &[EngineSetup::new("default").at_threads(&[1])],
         );
     }
 

@@ -340,6 +340,52 @@ fn ingest_verb_revises_answers_and_counts_in_stats() {
     assert_eq!(report.responses, 2, "ingest acks are not counted as query responses");
 }
 
+/// An ingest naming a vertex far beyond the graph is refused before the
+/// graph grows: one edge on vertex 3·10⁹ would size the CSR for 3·10⁹
+/// vertices and abort the process. The sender gets an error line and its
+/// in-flight slot back, a bystander's query is still answered, and the
+/// epoch does not move. An id within reach (`vertices + 2 × edges`) is
+/// still accepted.
+#[test]
+fn ingests_naming_out_of_reach_vertices_are_rejected() {
+    let socket = temp_socket("reach");
+    let config = ServerConfig { quota: 1, ..ServerConfig::default() };
+    let handle = Server::bind(QueryEngine::new(figure1_graph()), &socket, config).unwrap();
+    let (s, t, w) = figure1_query();
+    let q = QuerySpec::new(s, t, w);
+    let (mut reader, mut stream) = connect(&socket);
+    let (mut bystander_reader, mut bystander) = connect(&socket);
+
+    for far in [3_000_000_000, 10] {
+        send(&mut stream, &protocol::format_ingest(&[TemporalEdge::new(far, 1, 5)]));
+        let reply = protocol::parse_response(&read_line(&mut reader)).unwrap();
+        let protocol::Response::Error { id: None, message } = reply else { panic!("{reply:?}") };
+        assert!(message.contains(&format!("vertex {far}")), "{message}");
+    }
+    send(&mut bystander, &protocol::format_query(7, &q));
+    let reply = protocol::parse_response(&read_line(&mut bystander_reader)).unwrap();
+    let protocol::Response::Result(payload) = reply else { panic!("{reply:?}") };
+    assert_eq!((payload.id, payload.edges.len()), (7, 4));
+    // With quota 1, this query is only admitted if the rejected ingests
+    // released their in-flight slots.
+    send(&mut stream, &protocol::format_query(8, &q));
+    let reply = protocol::parse_response(&read_line(&mut reader)).unwrap();
+    assert!(matches!(reply, protocol::Response::Result(_)), "{reply:?}");
+    let stats = handle.stats_text();
+    assert_eq!(stat(&stats, "epoch"), 0, "{stats}");
+    assert_eq!(stat(&stats, "malformed"), 2, "{stats}");
+    assert_eq!(stat(&stats, "ingest_batches"), 0, "{stats}");
+
+    // Figure 1 has 8 vertices, so one edge may name ids up to 9.
+    send(&mut stream, &protocol::format_ingest(&[TemporalEdge::new(9, 1, 5)]));
+    let reply = protocol::parse_response(&read_line(&mut reader)).unwrap();
+    assert_eq!(reply, protocol::Response::Ingested { epoch: 1, edges: 1 });
+
+    handle.shutdown();
+    let report = handle.join();
+    assert_eq!(report.malformed, 2);
+}
+
 /// Satellite regression: a request id that does not parse as a u64 is no
 /// longer collapsed into an anonymous error — the raw token is echoed in
 /// the message so the client can tell which line was rejected.

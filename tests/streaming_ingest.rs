@@ -2,10 +2,10 @@
 //! invalidation: a live engine that interleaves `QueryEngine::ingest` with
 //! query batches must answer every batch byte-identically to a fresh
 //! engine built from scratch over the edge set of that epoch — across the
-//! thread grid, with profile sharing on and off, with every cache warm.
+//! thread grid, with every cache warm.
 //! The deterministic tests drive the interleaving and an explicit
 //! stale-read attempt against each sharing layer (result LRU, published
-//! tspGs inside a batch, the epoch-keyed profile cache); the proptest pins
+//! tspGs inside a batch); the proptest pins
 //! the tentpole identity `extend_with_edges == from_edges` over random
 //! batch splits, including unsorted and duplicate-timestamp batches.
 
@@ -14,7 +14,7 @@ mod common;
 use common::differential::{assert_stats_invariants, sequential_results};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use tspg_suite::core::{PlannerConfig, QueryEngine, QuerySpec};
+use tspg_suite::core::{QueryEngine, QuerySpec};
 use tspg_suite::prelude::*;
 
 /// Builds the live graph incrementally next to the union edge list so each
@@ -28,8 +28,7 @@ fn edge_feed(graph: &TemporalGraph, batches: usize, seed: u64) -> Vec<Vec<Tempor
 /// The interleaved differential suite (the tentpole's proof obligation):
 /// ingestion and query batches alternate on one live engine, and at every
 /// epoch each answer is byte-identical to a fresh engine built at that
-/// epoch — across the 1/4/8-thread × profiles-on/off grid with the result
-/// cache enabled and warm.
+/// epoch — across 1/4/8 threads with the result cache enabled and warm.
 #[test]
 fn interleaved_ingestion_matches_a_fresh_engine_at_every_epoch() {
     let spec = registry().into_iter().next().expect("registry has datasets");
@@ -38,64 +37,61 @@ fn interleaved_ingestion_matches_a_fresh_engine_at_every_epoch() {
         generate_workload(&graph, 30, spec.default_theta, 0x10).expect("workload");
     let stream = edge_feed(&graph, 3, 0x10);
 
-    for planner in [PlannerConfig::default(), PlannerConfig::default().without_profile_sharing()] {
-        for threads in [1usize, 4, 8] {
-            let mut engine = QueryEngine::new(graph.clone()).with_planner(planner);
-            let mut union = graph.edges().to_vec();
-            for (epoch, batch) in stream.iter().enumerate() {
-                // Warm every layer at this epoch, then query again: the
-                // second pass is served from the caches.
-                let (warmup, stats) = engine.run_batch_with_stats(&queries, threads);
-                assert_stats_invariants(&stats);
-                let (warm, warm_stats) = engine.run_batch_with_stats(&queries, threads);
-                assert_stats_invariants(&warm_stats);
-                assert!(
-                    warm_stats.cache_hits > 0,
-                    "threads={threads} epoch={epoch}: warm pass must hit the result cache"
-                );
+    for threads in [1usize, 4, 8] {
+        let mut engine = QueryEngine::new(graph.clone());
+        let mut union = graph.edges().to_vec();
+        for (epoch, batch) in stream.iter().enumerate() {
+            // Warm every layer at this epoch, then query again: the
+            // second pass is served from the caches.
+            let (warmup, stats) = engine.run_batch_with_stats(&queries, threads);
+            assert_stats_invariants(&stats);
+            let (warm, warm_stats) = engine.run_batch_with_stats(&queries, threads);
+            assert_stats_invariants(&warm_stats);
+            assert!(
+                warm_stats.cache_hits > 0,
+                "threads={threads} epoch={epoch}: warm pass must hit the result cache"
+            );
 
-                // The reference: a fresh engine over this epoch's edges.
-                let fresh_graph = TemporalGraph::from_edges(graph.num_vertices(), union.clone());
-                let fresh = sequential_results(&fresh_graph, &queries);
-                for (i, want) in fresh.iter().enumerate() {
-                    assert_eq!(
-                        warmup[i].tspg, want.tspg,
-                        "threads={threads} epoch={epoch} query #{i}: cold pass stale"
-                    );
-                    assert_eq!(
-                        warm[i].tspg, want.tspg,
-                        "threads={threads} epoch={epoch} query #{i}: warm pass stale"
-                    );
-                }
-
-                let before = engine.epoch();
-                let after = engine.ingest(batch);
-                assert_eq!(after, before.next(), "epochs advance by exactly one per batch");
-                union.extend_from_slice(batch);
-            }
-            // One final post-ingestion pass against the full union.
+            // The reference: a fresh engine over this epoch's edges.
             let fresh_graph = TemporalGraph::from_edges(graph.num_vertices(), union.clone());
             let fresh = sequential_results(&fresh_graph, &queries);
-            let (last, _) = engine.run_batch_with_stats(&queries, threads);
             for (i, want) in fresh.iter().enumerate() {
-                assert_eq!(last[i].tspg, want.tspg, "threads={threads} final pass query #{i}");
+                assert_eq!(
+                    warmup[i].tspg, want.tspg,
+                    "threads={threads} epoch={epoch} query #{i}: cold pass stale"
+                );
+                assert_eq!(
+                    warm[i].tspg, want.tspg,
+                    "threads={threads} epoch={epoch} query #{i}: warm pass stale"
+                );
             }
-            assert_eq!(engine.epoch().value(), stream.len() as u64);
+
+            let before = engine.epoch();
+            let after = engine.ingest(batch);
+            assert_eq!(after, before.next(), "epochs advance by exactly one per batch");
+            union.extend_from_slice(batch);
         }
+        // One final post-ingestion pass against the full union.
+        let fresh_graph = TemporalGraph::from_edges(graph.num_vertices(), union.clone());
+        let fresh = sequential_results(&fresh_graph, &queries);
+        let (last, _) = engine.run_batch_with_stats(&queries, threads);
+        for (i, want) in fresh.iter().enumerate() {
+            assert_eq!(last[i].tspg, want.tspg, "threads={threads} final pass query #{i}");
+        }
+        assert_eq!(engine.epoch().value(), stream.len() as u64);
     }
 }
 
 /// The explicit stale-read attempt: warm every sharing layer, then ingest
 /// an edge that is guaranteed to change the answers (a direct `s -> t`
 /// edge inside the query window is always part of the tspG), and prove
-/// that no layer — result LRU, published tspGs, profile cache — can serve
-/// a pre-ingestion entry.
+/// that no layer — result LRU, published tspGs — can serve a
+/// pre-ingestion entry.
 #[test]
 fn no_cache_layer_serves_a_pre_ingestion_answer() {
     let graph = figure1_graph();
     let (s, t, w) = figure1_query();
-    // A same-source fan-out with mixed begins: the shape that forms
-    // profile groups, so the profile cache is genuinely exercised.
+    // A same-source fan-out with mixed begins and a duplicate.
     let queries = vec![
         QuerySpec::new(s, t, w),
         QuerySpec::new(s, 5, TimeInterval::new(w.begin() + 1, w.end())),
@@ -109,7 +105,6 @@ fn no_cache_layer_serves_a_pre_ingestion_answer() {
     for (a, b) in cold.iter().zip(warm.iter()) {
         assert_eq!(a.tspg, b.tspg);
     }
-    let profile_misses_before = engine.profile_cache_stats().expect("default profile cache").misses;
 
     // The guaranteed answer-changing delta.
     let delta = [TemporalEdge::new(s, t, 5)];
@@ -134,16 +129,6 @@ fn no_cache_layer_serves_a_pre_ingestion_answer() {
     // distinguishable, not accidentally equal).
     assert_ne!(warm[0].tspg, post[0].tspg, "the delta edge must change the answer");
     assert!(post[0].tspg.contains_edge(s, t, 5), "the ingested edge belongs to the new tspG");
-
-    // The profile cache was not flushed — entries are epoch-keyed — so the
-    // old profiles are unreachable by construction and the new epoch pays
-    // fresh misses.
-    let profile_misses_after = engine.profile_cache_stats().expect("default profile cache").misses;
-    assert!(
-        profile_misses_after > profile_misses_before,
-        "epoch-scoped profile keys must miss after ingestion \
-         ({profile_misses_before} -> {profile_misses_after})"
-    );
 }
 
 /// Epoch bookkeeping at the graph layer: every append bumps the version by
