@@ -3,7 +3,11 @@
 //!
 //! The engine's graph is immutable between edge ingestions, so a query's
 //! tspG never changes within one graph epoch and memoizing whole
-//! [`VugResult`]s is sound. The cache is consulted before batch planning
+//! [`VugResult`]s is sound. Entries are stored packed: the report as is and
+//! the tspG as a bit-packed [`PackedEdgeSet`], several times smaller than
+//! its `EdgeSet`. An insert packs the tspG and a hit unpacks it into the
+//! identical `EdgeSet`, so callers never see the packed form; the byte
+//! bound charges the packed size. The cache is consulted before batch planning
 //! and populated after execution; under repeated-query serving traffic a
 //! hit skips the entire pipeline. When the graph mutates
 //! ([`crate::engine::QueryEngine::ingest`]) the whole cache is flushed via
@@ -27,7 +31,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use tspg_graph::EdgeSet;
+use tspg_graph::PackedEdgeSet;
 
 /// Sizing of a [`ResultCache`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -110,7 +114,8 @@ const NIL: usize = usize::MAX;
 #[derive(Debug)]
 struct Slot {
     key: QuerySpec,
-    value: VugResult,
+    report: VugReport,
+    tspg: PackedEdgeSet,
     bytes: usize,
     prev: usize,
     next: usize,
@@ -157,11 +162,13 @@ impl Shard {
         let slot = *self.map.get(key)?;
         self.unlink(slot);
         self.push_front(slot);
-        Some(self.slots[slot].value.clone())
+        let entry = &self.slots[slot];
+        Some(VugResult { tspg: entry.tspg.unpack(), report: entry.report })
     }
 
     /// Inserts (or refreshes) an entry, then evicts from the tail until the
-    /// shard is within both bounds. Returns `(inserted, evicted)`.
+    /// shard is within both bounds. Returns `(inserted, evicted)`. The tspG
+    /// is packed only when the key is not resident yet.
     ///
     /// Admission is checked against `global_max_bytes` (the whole cache's
     /// configured budget), not the shard's share: a result that fits the
@@ -174,45 +181,35 @@ impl Shard {
         &mut self,
         key: QuerySpec,
         value: &VugResult,
-        bytes: usize,
         max_entries: usize,
         max_bytes: usize,
         global_max_bytes: usize,
     ) -> (bool, u64) {
+        if let Some(&slot) = self.map.get(&key) {
+            // Same canonical query ⇒ same tspG; just refresh recency.
+            self.unlink(slot);
+            self.push_front(slot);
+            return (false, 0);
+        }
+        let tspg = value.tspg.pack();
+        let bytes = entry_bytes(&tspg);
         if bytes > global_max_bytes || max_entries == 0 {
             return (false, 0);
         }
-        let inserted = match self.map.get(&key) {
-            Some(&slot) => {
-                // Same canonical query ⇒ same tspG; just refresh recency.
-                self.unlink(slot);
-                self.push_front(slot);
-                false
+        let entry = Slot { key, report: value.report, tspg, bytes, prev: NIL, next: NIL };
+        let slot = match self.free.pop() {
+            Some(reused) => {
+                self.slots[reused] = entry;
+                reused
             }
             None => {
-                let slot = match self.free.pop() {
-                    Some(reused) => {
-                        self.slots[reused] =
-                            Slot { key, value: value.clone(), bytes, prev: NIL, next: NIL };
-                        reused
-                    }
-                    None => {
-                        self.slots.push(Slot {
-                            key,
-                            value: value.clone(),
-                            bytes,
-                            prev: NIL,
-                            next: NIL,
-                        });
-                        self.slots.len() - 1
-                    }
-                };
-                self.map.insert(key, slot);
-                self.push_front(slot);
-                self.bytes += bytes;
-                true
+                self.slots.push(entry);
+                self.slots.len() - 1
             }
         };
+        self.map.insert(key, slot);
+        self.push_front(slot);
+        self.bytes += bytes;
         let mut evicted = 0;
         while self.map.len() > max_entries || (self.bytes > max_bytes && self.map.len() > 1) {
             let tail = self.tail;
@@ -223,13 +220,12 @@ impl Shard {
             // Drop the evicted result now — a free slot must not pin the
             // tspG's heap allocation until its eventual reuse, or real
             // memory could exceed the byte bound stats() reports against.
-            self.slots[tail].value =
-                VugResult { tspg: EdgeSet::new(), report: VugReport::default() };
+            self.slots[tail].tspg = PackedEdgeSet::default();
             self.slots[tail].bytes = 0;
             self.free.push(tail);
             evicted += 1;
         }
-        (inserted, evicted)
+        (true, evicted)
     }
 
     /// Drops every resident entry and releases its heap allocation, keeping
@@ -238,7 +234,7 @@ impl Shard {
         self.map.clear();
         self.free.clear();
         for (i, slot) in self.slots.iter_mut().enumerate() {
-            slot.value = VugResult { tspg: EdgeSet::new(), report: VugReport::default() };
+            slot.tspg = PackedEdgeSet::default();
             slot.bytes = 0;
             self.free.push(i);
         }
@@ -286,8 +282,9 @@ impl ResultCache {
     }
 
     /// Looks up the result of a canonical query, refreshing its recency.
+    /// A lookup in a poisoned shard finds nothing and counts as a miss.
     pub fn get(&self, key: &QuerySpec) -> Option<VugResult> {
-        let result = self.shard(key).lock().ok()?.get(key);
+        let result = self.shard(key).lock().ok().and_then(|mut shard| shard.get(key));
         // relaxed: hit/miss tallies are pure statistics — no reader orders
         // other memory against them.
         match result {
@@ -298,15 +295,13 @@ impl ResultCache {
     }
 
     /// Stores the result of a canonical query, evicting LRU entries as
-    /// needed. Oversized results (larger than the whole configured byte
-    /// budget) are silently skipped.
+    /// needed. Oversized results (packed, larger than the whole configured
+    /// byte budget) are silently skipped.
     pub fn insert(&self, key: QuerySpec, value: &VugResult) {
-        let bytes = entry_bytes(value);
         let Ok(mut shard) = self.shard(&key).lock() else { return };
         let (inserted, evicted) = shard.insert(
             key,
             value,
-            bytes,
             self.max_entries_per_shard,
             self.max_bytes_per_shard,
             self.max_bytes_global,
@@ -360,30 +355,32 @@ impl ResultCache {
     }
 }
 
-/// Fixed per-entry overhead charged on top of the result's own heap bytes.
+/// Fixed per-entry overhead charged on top of the packed tspG's heap bytes.
 ///
 /// An entry does not just own its tspG: it pins a [`Slot`] in the shard's
-/// slot arena (key + value struct + the two intrusive LRU links), a
+/// slot arena (key + report + packed header + the two intrusive LRU links), a
 /// `key → slot` pair in the shard's hash map, and a share of the map's
 /// bucket/control metadata (hash maps keep a load factor below 1, so each
 /// resident entry costs more than its own pair; 2× is a conservative
-/// stand-in). Charging only `tspg.approx_bytes()` would let a small-result
+/// stand-in). Charging only `tspg.heap_bytes()` would let a small-result
 /// workload blow far past `max_bytes` in real memory while the accounted
 /// total stays near zero.
 const ENTRY_OVERHEAD: usize = std::mem::size_of::<Slot>()
     + 2 * std::mem::size_of::<(QuerySpec, usize)>()
     + std::mem::size_of::<usize>();
 
-/// Approximate heap footprint of one cached entry: the result's own heap
+/// Approximate heap footprint of one cached entry: the packed tspG's heap
 /// allocation plus [`ENTRY_OVERHEAD`].
-fn entry_bytes(value: &VugResult) -> usize {
-    value.tspg.approx_bytes() + ENTRY_OVERHEAD
+fn entry_bytes(tspg: &PackedEdgeSet) -> usize {
+    tspg.heap_bytes() + ENTRY_OVERHEAD
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eev::EevStats;
     use crate::vug::VugReport;
+    use std::time::Duration;
     use tspg_graph::{EdgeSet, TemporalEdge, TimeInterval};
 
     fn key(i: i64) -> QuerySpec {
@@ -397,6 +394,92 @@ mod tests {
 
     fn single_shard(max_entries: usize, max_bytes: usize) -> ResultCache {
         ResultCache::new(CacheConfig { max_entries, max_bytes, shards: 1 })
+    }
+
+    /// What an entry holding `result(edges)` is charged.
+    fn packed_entry_bytes(edges: usize) -> usize {
+        entry_bytes(&result(edges).tspg.pack())
+    }
+
+    #[test]
+    fn a_hit_returns_the_inserted_result_exactly() {
+        // A tspG with spread-out ids and timestamps, so every packed field
+        // is wide, and a report with every field set.
+        let tspg = EdgeSet::from_edges((0..50u32).map(|i| {
+            TemporalEdge::new(i * 977 % 4099, (i * 31 + 7) % 65_537, i64::from(i) * 86_400 - 9)
+        }));
+        let mut eev = EevStats {
+            confirmed_by_endpoints: 3,
+            confirmed_by_cover: 5,
+            confirmed_by_search: 42,
+            rejected: 2,
+            ..EevStats::default()
+        };
+        eev.bidir.searches = 44;
+        eev.bidir.successes = 42;
+        eev.bidir.expansions = 1_234;
+        let report = VugReport {
+            quick_elapsed: Duration::from_nanos(1_234_567),
+            tight_elapsed: Duration::from_nanos(89_012),
+            eev_elapsed: Duration::from_micros(345),
+            input_edges: 100_000,
+            quick_edges: 80,
+            tight_edges: 52,
+            result_edges: tspg.num_edges(),
+            result_vertices: tspg.num_vertices(),
+            eev,
+            approx_bytes: 65_536,
+        };
+        let cache = ResultCache::new(CacheConfig::default());
+        cache.insert(key(0), &VugResult { tspg: tspg.clone(), report });
+        let hit = cache.get(&key(0)).expect("hit");
+        assert_eq!(hit.tspg, tspg);
+        assert_eq!(hit.report, report);
+    }
+
+    #[test]
+    fn stats_bytes_sum_the_packed_sizes_of_resident_entries() {
+        let cache = single_shard(6, usize::MAX >> 1);
+        let sizes = [0, 1, 7, 40, 3, 250, 12, 64];
+        for (i, &edges) in sizes.iter().enumerate() {
+            cache.insert(key(i as i64), &result(edges));
+        }
+        // Two entries were evicted; sum over whoever is still resident.
+        let expected: usize = sizes
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| cache.get(&key(i as i64)).is_some())
+            .map(|(_, &edges)| result(edges).tspg.pack().heap_bytes() + ENTRY_OVERHEAD)
+            .sum();
+        let stats = cache.stats();
+        assert_eq!(stats.entries, 6, "{stats:?}");
+        assert_eq!(stats.bytes, expected, "{stats:?}");
+    }
+
+    #[test]
+    fn a_poisoned_shard_counts_its_lookups_as_misses() {
+        let cache =
+            ResultCache::new(CacheConfig { max_entries: 64, max_bytes: 1 << 20, shards: 2 });
+        for i in 0..8 {
+            cache.insert(key(i), &result(2));
+        }
+        let poisoned = cache.shard(&key(0));
+        let other =
+            (1..8).find(|&i| !std::ptr::eq(cache.shard(&key(i)), poisoned)).expect("2 shards");
+        std::thread::scope(|scope| {
+            let panicked = scope
+                .spawn(|| {
+                    let _guard = poisoned.lock().expect("not poisoned yet");
+                    panic!("poison the shard");
+                })
+                .join();
+            assert!(panicked.is_err());
+        });
+        assert!(poisoned.is_poisoned());
+        assert!(cache.get(&key(0)).is_none(), "a poisoned shard answers nothing");
+        assert!(cache.get(&key(other)).is_some(), "other shards keep working");
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1), "every probe is counted: {stats:?}");
     }
 
     #[test]
@@ -430,7 +513,7 @@ mod tests {
 
     #[test]
     fn byte_bound_evicts_and_oversized_results_are_skipped() {
-        let per_entry = entry_bytes(&result(4));
+        let per_entry = packed_entry_bytes(4);
         let cache = single_shard(1024, 2 * per_entry + per_entry / 2);
         cache.insert(key(1), &result(4));
         cache.insert(key(2), &result(4));
@@ -454,7 +537,7 @@ mod tests {
         // unboundedly. With the per-entry overhead charged, a byte bound
         // sized for ~8 entries must hold the cache to ~8 entries.
         let empty = VugResult { tspg: EdgeSet::new(), report: VugReport::default() };
-        assert_eq!(entry_bytes(&empty), ENTRY_OVERHEAD);
+        assert_eq!(entry_bytes(&empty.tspg.pack()), ENTRY_OVERHEAD);
         let budget = 8 * ENTRY_OVERHEAD;
         let cache = single_shard(usize::MAX >> 1, budget);
         for i in 0..256 {
@@ -484,7 +567,7 @@ mod tests {
         // Regression: admission used to be checked against max_bytes /
         // shards, so an entry within the configured global budget but above
         // one shard's share was silently refused whenever shards > 1.
-        let per_entry = entry_bytes(&result(4));
+        let per_entry = packed_entry_bytes(4);
         let global = 3 * per_entry; // per-shard share = 3/4 of one entry
         let cache = ResultCache::new(CacheConfig { max_entries: 64, max_bytes: global, shards: 4 });
         cache.insert(key(1), &result(4));

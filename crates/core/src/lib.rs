@@ -29,7 +29,8 @@
 //! atomic-cursor work-stealing loop across scoped threads (each worker
 //! reusing a [`QueryScratch`] arena, zero steady-state allocation), and a
 //! sharded LRU [`engine::cache::ResultCache`] memoizes `(s, t, window)` →
-//! tspG across batches. Result ordering stays deterministic throughout.
+//! bit-packed tspG across batches. Result ordering stays deterministic
+//! throughout.
 //!
 //! # Quick start
 //!

@@ -48,7 +48,7 @@ impl VugConfig {
 }
 
 /// Per-phase measurements of one VUG run (the data behind Figs. 7, 8 and 10).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VugReport {
     /// Wall-clock time of the polarity-time computation plus the `G_q` scan
     /// (the paper reports these together as `QuickUBG`).

@@ -21,6 +21,7 @@
 //! * [`TemporalGraphBuilder`] — incremental construction with de-duplication.
 //! * [`EdgeSet`] / subgraph helpers — canonical edge-set representation used
 //!   for upper-bound graphs and for the final temporal simple path graph.
+//!   [`PackedEdgeSet`] is its bit-packed, exactly decodable form.
 //! * [`io`] — plain-text edge-list reading/writing and Graphviz DOT export.
 //! * [`stats`] — summary statistics mirroring Table I of the paper.
 //!
@@ -57,7 +58,7 @@ pub mod stats;
 pub mod types;
 
 pub use builder::TemporalGraphBuilder;
-pub use edgeset::EdgeSet;
+pub use edgeset::{EdgeSet, PackedEdgeSet};
 pub use error::GraphError;
 pub use graph::{AdjEntry, GraphEpoch, TemporalGraph};
 pub use interval::TimeInterval;

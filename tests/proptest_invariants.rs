@@ -116,6 +116,28 @@ proptest! {
         prop_assert!(set.is_subset_of(&EdgeSet::from_graph(&graph)));
     }
 
+    /// Bit-packing an edge set (the result cache's stored form) and
+    /// unpacking it restores the set exactly, in at most the unpacked 16 B
+    /// per edge. Ids and timestamps keep a random number of low bits, so
+    /// every field width from 0 bits to the full type occurs.
+    #[test]
+    fn packed_edge_sets_roundtrip(
+        (raw, id_bits, time_bits) in (
+            vec((0..=u32::MAX, 0..=u32::MAX, i64::MIN..=i64::MAX), 0..120),
+            0u32..=32,
+            0u32..=64,
+        )
+    ) {
+        let id_mask = u32::MAX.checked_shr(32 - id_bits).unwrap_or(0);
+        let time_mask = u64::MAX.checked_shr(64 - time_bits).unwrap_or(0);
+        let set = EdgeSet::from_edges(raw.into_iter().map(|(u, v, t)| {
+            TemporalEdge::new(u & id_mask, v & id_mask, ((t as u64) & time_mask) as i64)
+        }));
+        let packed = set.pack();
+        prop_assert!(packed.heap_bytes() <= set.approx_bytes());
+        prop_assert_eq!(packed.unpack(), set);
+    }
+
     /// The tspG is independent of how the query window is reached: querying
     /// on the projected graph gives the same result as on the full graph.
     #[test]
